@@ -1,9 +1,9 @@
-// Aligned-text and CSV table output shared by the bench harnesses.
+// Aligned-text table output for the paper tables.
 //
-// Every bench binary in bench/ prints one (or a few) tables in the same
-// format: a caption naming the paper claim, a header row, then data rows.
-// Keeping formatting here means every experiment reads the same way in
-// EXPERIMENTS.md.
+// Every paper table — the `ba_sweep --grid eN` grids (sim/sweep.h) and
+// the library Monte-Carlo benches in bench/ — prints in the same format:
+// a caption naming the paper claim, a header row, then data rows. The
+// README's "Paper tables" section maps each table to its grid.
 #pragma once
 
 #include <iosfwd>
@@ -26,11 +26,10 @@ class Table {
   /// Aligned plain-text rendering with the caption on top.
   void print(std::ostream& os) const;
 
-  /// CSV rendering (no caption; header first).
-  void print_csv(std::ostream& os) const;
-
   std::size_t num_rows() const { return rows_.size(); }
   const std::string& caption() const { return caption_; }
+  const std::vector<std::string>& header() const { return header_; }
+  const std::vector<std::vector<Cell>>& rows() const { return rows_; }
 
  private:
   static std::string render(const Cell& c);
@@ -40,8 +39,9 @@ class Table {
 };
 
 /// Least-squares slope of log(y) vs log(x): the fitted exponent b in
-/// y ≈ a·x^b. Used by benches to report scaling shape. Ignores pairs with
-/// non-positive coordinates; requires at least two usable points.
+/// y ≈ a·x^b. Used by the paper tables to report scaling shape. Ignores
+/// pairs with non-positive coordinates; requires at least two usable
+/// points.
 double fit_log_log_exponent(const std::vector<double>& xs,
                             const std::vector<double>& ys);
 

@@ -5,7 +5,7 @@
 // "for n sufficiently large". ProtocolParams keeps the structural
 // relations and lets experiments sweep the constants (via the scenario
 // spec's tournament knobs — docs/ARCHITECTURE.md, "Scenario layer"). The
-// E12 ablation bench quantifies the effect of each knob.
+// E12 ablation grid (`ba_sweep --grid e12`) quantifies each knob.
 //
 // Array layout (Algorithm 2 step 1 + Definition 4 + §3.5): processor i's
 // array has one block per election level, then the root coin block, then

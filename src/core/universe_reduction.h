@@ -15,7 +15,7 @@
 // reduction therefore guarantees representativeness *at sampling time* —
 // downstream designs must use the committee immediately, or hand it no
 // secrets (exactly the observation that motivates electing arrays instead
-// of processors for agreement itself). The E13 bench measures both sides:
+// of processors for agreement itself). The E13 grid measures both sides:
 // representativeness at sampling time, and what an adaptive takeover does
 // afterwards.
 #pragma once

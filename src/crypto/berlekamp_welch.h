@@ -5,8 +5,9 @@
 // compensates with node-level majorities (sendOpen, Section 3.2.3). This
 // decoder is the library's *extension* (Conclusion: "can the techniques be
 // made practical?"): with m shares of a degree-t polynomial it corrects up
-// to (m - t - 1) / 2 arbitrary share corruptions, which the E12 ablation
-// bench compares against majority-only recovery.
+// to (m - t - 1) / 2 arbitrary share corruptions. The protocols decode
+// with Gao (crypto/gao.h) behind robust_reconstruct(); berlekamp_welch()
+// and BatchedBerlekampWelch are the tests' differential oracle for it.
 #pragma once
 
 #include <optional>
@@ -101,9 +102,8 @@ class BatchedBerlekampWelch {
 /// (crypto/scheme_cache.h): a clean word costs O(m * (m - t))
 /// multiplications and no inversions against a precomputed barycentric
 /// fast path shared by all words; a damaged word is decoded by Gao's
-/// extended-Euclid algorithm (O(m^2), crypto/gao.h), with Berlekamp–Welch
-/// kept for degenerate (duplicated-point) share sets. Returns nullopt if
-/// any word fails to decode.
+/// extended-Euclid algorithm (O(m^2), crypto/gao.h). Share x values must
+/// be distinct (BA_REQUIRE). Returns nullopt if any word fails to decode.
 std::optional<std::vector<Fp>> robust_reconstruct(
     const std::vector<VectorShare>& shares, std::size_t privacy_threshold);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/simd.h"
-#include "crypto/berlekamp_welch.h"
 
 namespace ba {
 
@@ -110,36 +109,24 @@ RobustDecoder::RobustDecoder(std::vector<Fp> xs,
     : xs_(std::move(xs)), t_(privacy_threshold) {
   const std::size_t m = xs_.size();
   BA_REQUIRE(m >= t_ + 1, "not enough points for the threshold");
+  // Distinct points by construction in ShareFlow: a group's points are
+  // the last chain elements of distinct chains under one parent chain,
+  // and a leaf's points are the distinct root elements plus one.
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = i + 1; j < m; ++j)
+      BA_REQUIRE(xs_[i] != xs_[j], "decoder points must be distinct");
   max_errors_ = (m - t_ - 1) / 2;
   const std::size_t k = t_ + 1;
-  fast_ = true;
-  for (std::size_t i = 0; i < k && fast_; ++i)
-    for (std::size_t j = i + 1; j < k; ++j)
-      if (xs_[i] == xs_[j]) {
-        fast_ = false;
-        break;
-      }
-  all_distinct_ = fast_;
-  for (std::size_t i = 0; i < m && all_distinct_; ++i)
-    for (std::size_t j = std::max(i + 1, k); j < m; ++j)
-      if (xs_[i] == xs_[j]) {
-        all_distinct_ = false;
-        break;
-      }
-  if (fast_) {
-    interp_.emplace(std::vector<Fp>(xs_.begin(), xs_.begin() + k));
-    check_rows_.reserve(m - k);
-    for (std::size_t i = k; i < m; ++i)
-      check_rows_.push_back(interp_->row_at(xs_[i]));
-  }
+  interp_.emplace(std::vector<Fp>(xs_.begin(), xs_.begin() + k));
+  check_rows_.reserve(m - k);
+  for (std::size_t i = k; i < m; ++i)
+    check_rows_.push_back(interp_->row_at(xs_[i]));
 }
 
 std::uint64_t RobustDecoder::precompute_fingerprint() const {
   Fnv1a d;
   d.mix(t_);
   d.mix(max_errors_);
-  d.mix(fast_ ? 1 : 0);
-  d.mix(all_distinct_ ? 1 : 0);
   for (const Fp& x : xs_) d.mix(x.value());
   for (const auto& row : check_rows_)
     for (const Fp& v : row) d.mix(v.value());
@@ -154,16 +141,8 @@ const GaoContext& RobustDecoder::gao() const {
 }
 
 std::optional<Fp> RobustDecoder::decode_word(Scratch& scratch) const {
-  std::optional<std::vector<Fp>> p;
-  if (!fast_)
-    p = berlekamp_welch(xs_, scratch.ys, t_, 0);  // degenerate point set
-  if (!p && max_errors_ > 0) {
-    if (all_distinct_) {
-      p = gao().decode(scratch.ys, t_, max_errors_);
-    } else {
-      p = berlekamp_welch(xs_, scratch.ys, t_, max_errors_);
-    }
-  }
+  if (max_errors_ == 0) return std::nullopt;
+  const auto p = gao().decode(scratch.ys, t_, max_errors_);
   if (!p) return std::nullopt;
   return (*p)[0];
 }
@@ -200,16 +179,14 @@ bool RobustDecoder::reconstruct_into(const FpSpan* shares, std::size_t count,
   scratch.head.resize(k);
   for (std::size_t w = 0; w < words; ++w) {
     for (std::size_t i = 0; i < m; ++i) scratch.ys[i] = shares[i][w];
-    bool clean = fast_;
-    if (fast_) {
-      std::copy(scratch.ys.begin(),
-                scratch.ys.begin() + static_cast<std::ptrdiff_t>(k),
-                scratch.head.begin());
-      for (std::size_t i = 0; clean && i < check_rows_.size(); ++i)
-        clean = BarycentricInterpolator::eval_row(check_rows_[i],
-                                                  scratch.head) ==
-                scratch.ys[k + i];
-    }
+    std::copy(scratch.ys.begin(),
+              scratch.ys.begin() + static_cast<std::ptrdiff_t>(k),
+              scratch.head.begin());
+    bool clean = true;
+    for (std::size_t i = 0; clean && i < check_rows_.size(); ++i)
+      clean = BarycentricInterpolator::eval_row(check_rows_[i],
+                                                scratch.head) ==
+              scratch.ys[k + i];
     if (clean) {
       out[w] = interp_->eval_at_zero(scratch.head);
       continue;

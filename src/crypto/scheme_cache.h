@@ -141,9 +141,9 @@ class RobustDecoder {
     std::vector<FpSpan> spans;  ///< share views for the vector overload
   };
 
-  /// `xs` are the shares' evaluation points in share order; `t` the privacy
-  /// threshold. The error budget is (xs.size() - t - 1) / 2, as in
-  /// robust_reconstruct().
+  /// `xs` are the shares' evaluation points in share order, pairwise
+  /// distinct (BA_REQUIRE); `t` the privacy threshold. The error budget is
+  /// (xs.size() - t - 1) / 2, as in robust_reconstruct().
   RobustDecoder(std::vector<Fp> xs, std::size_t privacy_threshold);
 
   const std::vector<Fp>& points() const { return xs_; }
@@ -172,8 +172,8 @@ class RobustDecoder {
   bool reconstruct_into(const FpSpan* shares, std::size_t count,
                         std::size_t words, Fp* out, Scratch& scratch) const;
 
-  /// Order-independent digest of the precompute (points, fast-path rows,
-  /// flags). Stable for the decoder's lifetime; tests assert no call path
+  /// Order-independent digest of the precompute (points and fast-path
+  /// rows). Stable for the decoder's lifetime; tests assert no call path
   /// mutates it.
   std::uint64_t precompute_fingerprint() const;
 
@@ -184,8 +184,6 @@ class RobustDecoder {
   std::vector<Fp> xs_;
   std::size_t t_;
   std::size_t max_errors_;
-  bool fast_ = false;          ///< first t+1 points distinct
-  bool all_distinct_ = false;  ///< Gao usable (every point distinct)
   std::optional<BarycentricInterpolator> interp_;  ///< through first t+1
   std::vector<std::vector<Fp>> check_rows_;  ///< one per redundant point
   mutable std::once_flag gao_once_;          ///< one-shot Gao construction

@@ -169,7 +169,10 @@ class WordVec {
 
   void assign(const std::uint64_t* src, std::size_t n) {
     if (n > cap_) grow(n);
-    std::memcpy(heap_ ? heap_ : inline_, src, n * sizeof(std::uint64_t));
+    // memcpy from a null source is undefined even for zero bytes (an
+    // empty WordVec's data() is null).
+    if (n != 0)
+      std::memcpy(heap_ ? heap_ : inline_, src, n * sizeof(std::uint64_t));
     size_ = static_cast<std::uint32_t>(n);
   }
   /// Copy-construct from o into a released/fresh state: inline contents

@@ -8,8 +8,8 @@
 // is "fingerprint invariant under the pool worker count"). Protocol-
 // specific metrics ride in `extras` (ordered key/value pairs) and the
 // full result structs in `detail` for consumers that need more than the
-// summary (examples printing word views, benches aggregating per-level
-// stats).
+// summary (examples printing word views, paper grids aggregating
+// per-level stats).
 //
 // JSON emission is stable: fixed key order, shortest-round-trip doubles,
 // no locale dependence — `write_json(os, /*include_timing=*/false)` is

@@ -1,23 +1,23 @@
 // The scenario layer: one declarative description of a protocol run.
 //
-// Every entry point in this repo — examples, benches, parity and
+// Every entry point in this repo — examples, the paper grids, parity and
 // adversary-matrix tests, the `ba_run` CLI — drives a protocol through the
 // same `ScenarioSpec -> RunReport` pipeline (sim/protocol.h). A spec names
 // everything a run needs: network size and corruption budget, adversary
 // strategy and its seed, input pattern, protocol kind and its knobs, and
 // the seeds of every randomness stream the historical wiring drew from.
-// Specs are value types with a fluent `with_*` builder, a stable
-// key=value serialization (`to_kv` / `from_kv`, used by `ba_run --set`
-// overrides and the round-trip tests), and a registry of named
-// configurations (`ScenarioRegistry`) covering the examples and the
-// E-series experiment configs.
+// Specs are value types with a fluent `with_*` builder over the commonly
+// set fields, a stable key=value serialization (`to_kv` / `from_kv`, used
+// by `ba_run --set` and grid overrides and the round-trip tests), and a
+// registry of named configurations (`ScenarioRegistry`) covering the
+// examples and the E-series experiment configs.
 //
 // Determinism contract: `run_scenario(spec, seed_offset)` is a pure
 // function of (spec, seed_offset, pool worker count) — and byte-identical
 // across worker counts (tests/parallel_parity_test.cpp). A sweep over
 // seeds is a sweep over `seed_offset`, which shifts every seed field in
-// the spec uniformly — exactly the `base + s` idiom the benches always
-// used.
+// the spec uniformly — exactly the `base + s` idiom the seed sweeps
+// always used.
 #pragma once
 
 #include <cstdint>
@@ -159,33 +159,12 @@ struct ScenarioSpec {
   // ---- fluent builder (value-returning: spec.with_n(64).with_... ) ----
   ScenarioSpec with_name(std::string v) const;
   ScenarioSpec with_n(std::size_t v) const;
-  ScenarioSpec with_budget_div(std::size_t v) const;
   ScenarioSpec with_workers(std::size_t v) const;
   ScenarioSpec with_adversary(AdversaryKind v) const;
   ScenarioSpec with_corrupt_fraction(double v) const;
-  ScenarioSpec with_adversary_seed(std::uint64_t v) const;
-  ScenarioSpec with_takeover_share_holders(bool v) const;
-  ScenarioSpec with_flood_per_pair(std::size_t v) const;
-  ScenarioSpec with_inputs(InputPattern v) const;
-  ScenarioSpec with_input_value(std::uint8_t v) const;
   ScenarioSpec with_input_fraction(double v) const;
-  ScenarioSpec with_input_seed(std::uint64_t v) const;
-  ScenarioSpec with_protocol_seed(std::uint64_t v) const;
-  ScenarioSpec with_coin_words(std::size_t v) const;
-  ScenarioSpec with_release_sequence(bool v) const;
-  ScenarioSpec with_committee_size(std::size_t v) const;
-  ScenarioSpec with_tree_q(std::size_t v) const;
-  ScenarioSpec with_winners(std::size_t v) const;
-  ScenarioSpec with_d_up(std::size_t v) const;
-  ScenarioSpec with_g_intra(std::size_t v) const;
-  ScenarioSpec with_lock_rule_off(bool v) const;
   ScenarioSpec with_aeba_rounds(std::size_t v) const;
   ScenarioSpec with_aeba_instances(std::size_t v) const;
-  ScenarioSpec with_aeba_degree(std::size_t v) const;
-  ScenarioSpec with_bad_coin_fraction(double v) const;
-  ScenarioSpec with_max_rounds(std::size_t v) const;
-  ScenarioSpec with_a2e_repeats(std::size_t v) const;
-  ScenarioSpec with_truth_message(std::uint64_t v) const;
   ScenarioSpec with_scheduler(SchedulerKind v) const;
   ScenarioSpec with_delta_max(std::size_t v) const;
   ScenarioSpec with_rush_depth(std::size_t v) const;

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <ostream>
 #include <sstream>
+#include <variant>
 
 #include "common/check.h"
 #include "sim/protocol.h"
@@ -152,6 +153,645 @@ std::vector<GridAxis> default_grid() {
   g.push_back({"everywhere_delay", {}, {}, {}, 6});
   g.push_back({"everywhere_delay_break", {}, {}, {}, 6});
   return g;
+}
+
+// -------------------------------------------------------- paper grids --
+//
+// The E-series experiment tables as data. Every axis relabels its jobs
+// (a "name" override), so each table reads exactly the runs of its label.
+
+namespace {
+
+using R = const PaperRun&;
+using Kv = std::vector<std::pair<std::string, std::string>>;
+using Line = std::function<std::vector<Cell>(const PaperContext&)>;
+constexpr PaperAgg kKey = PaperAgg::kKey, kMean = PaperAgg::kMean,
+                   kMin = PaperAgg::kMin, kMax = PaperAgg::kMax,
+                   kSum = PaperAgg::kSum;
+
+double as_double(const Cell& c) {
+  const auto* i = std::get_if<std::int64_t>(&c);
+  return i != nullptr ? static_cast<double>(*i) : std::get<double>(c);
+}
+Cell integer(std::size_t v) { return static_cast<std::int64_t>(v); }
+template <std::size_t ScenarioSpec::*F>
+Cell spec_int(R r) { return integer(r.spec->*F); }
+template <double ScenarioSpec::*F>
+Cell spec_real(R r) { return r.spec->*F; }
+template <std::size_t AeLevelStats::*F>
+Cell level_int(R r) { return integer(r.level->*F); }
+double nd(R r) { return static_cast<double>(r.report->n); }
+double lg(R r) { return std::log2(nd(r)); }
+const RunDetail& detail(R r) { return *r.report->detail; }
+double extra(R r, const char* key) {
+  for (const auto& [k, v] : r.report->extras)
+    if (k == key) return v;
+  return 0.0;
+}
+Cell n_of(R r) { return integer(r.report->n); }
+double frac(R r) { return r.report->agreement_fraction; }
+double bits(R r) { return static_cast<double>(r.report->max_bits_good); }
+double total(R r) { return static_cast<double>(r.report->total_bits_good); }
+double rounds(R r) { return static_cast<double>(r.report->rounds); }
+double valid(R r) { return r.report->validity == 1 ? 1.0 : 0.0; }
+double log2_sq(R r) { return lg(r) * lg(r); }
+double allowance(R r) { return 1.0 - 1.5 / lg(r); }
+double c2_log(R r) { return 1.5 / lg(r); }
+double min_informed(R r) { return detail(r).aeba->min_informed_fraction; }
+double mean_informed(R r) { return detail(r).aeba->mean_informed_fraction; }
+const SequenceQuality& quality(R r) { return *detail(r).sequence_quality; }
+const UniverseResult& universe(R r) { return *detail(r).universe; }
+double committee_good(R r) { return universe(r).good_fraction_at_sampling; }
+constexpr auto corrupt = spec_real<&ScenarioSpec::corrupt_fraction>;
+
+GridAxis axis(std::string scenario, std::string label, Kv overrides = {},
+              std::vector<std::size_t> ns = {}, std::size_t seeds = 1) {
+  overrides.insert(overrides.begin(), {"name", std::move(label)});
+  return {std::move(scenario), std::move(overrides), std::move(ns), {},
+          seeds};
+}
+PaperTable derived(std::string caption, std::vector<std::string> header,
+                   std::vector<Line> lines) {
+  return {std::move(caption), {}, {}, false, std::move(header),
+          std::move(lines)};
+}
+std::vector<double> column_of(const Table& t, const std::string& header) {
+  const auto it = std::find(t.header().begin(), t.header().end(), header);
+  BA_REQUIRE(it != t.header().end(), "paper table: no column " + header);
+  std::vector<double> out;
+  for (const auto& row : t.rows())
+    out.push_back(as_double(row[it - t.header().begin()]));
+  return out;
+}
+/// A line: the fitted exponent of column `y` vs column "n" of `table`.
+Line fit(std::string series, std::size_t table, std::string y,
+         std::string reference) {
+  return [=](const PaperContext& c) -> std::vector<Cell> {
+    const Table& t = c.tables.at(table);
+    return {series, fit_log_log_exponent(column_of(t, "n"), column_of(t, y)),
+            reference};
+  };
+}
+PaperTable fits(std::string caption, std::vector<Line> lines) {
+  return derived(std::move(caption),
+                 {"series", "measured_b", "paper_reference"}, std::move(lines));
+}
+
+PaperGrid grid_e1() {
+  const std::vector<std::size_t> ns = {64, 256, 512, 1024};
+  PaperGrid g{"e1",
+              {axis("e1_everywhere", "e1", {}, ns, 2),
+               axis("e1_a2e_phase", "e1_a2e", {}, ns, 2)},
+              {}};
+  g.tables.push_back(
+      {"E1 / Theorem 1 — everywhere BA: agreement w.h.p., polylog rounds, "
+       "per-processor bits (10% malicious — the tree phase's supported "
+       "regime at laptop-scale share parameters, see E12f)",
+       "e1",
+       {{"n", n_of, kKey},
+        {"agree_rate",
+         [](R r) { return r.report->all_good_agree == 1 ? 1.0 : 0.0; }},
+        {"validity", valid}, {"rounds", rounds}, {"log2(n)^2", log2_sq, kKey},
+        {"max_bits/proc", bits}, {"a2e_bits/proc", bits, kMean, "e1_a2e"},
+        {"a2e_bits/sqrt(n)", [](R r) { return bits(r) / std::sqrt(nd(r)); },
+         kMean, "e1_a2e"}}});
+  g.tables.push_back(fits(
+      "E1 — fitted scaling exponents (y ~ n^b)",
+      {fit("a2e bits/proc", 0, "a2e_bits/proc", "0.5 (Theorem 4: O~(sqrt n))"),
+       fit("total bits/proc", 0, "max_bits/proc",
+           "<= 1 (tournament constants dominate at small n; "
+           "Theorem 2: O~(n^{4/delta}))"),
+       fit("rounds", 0, "rounds", "~0 (polylog; Theorem 1)")}));
+  return g;
+}
+
+double election_agree(R r) {
+  const auto& levels = detail(r).ae->levels;
+  double e = 0;
+  for (const auto& lvl : levels) e += lvl.mean_bin_agreement;
+  return levels.empty() ? 1.0 : e / levels.size();
+}
+
+PaperGrid grid_e2() {
+  PaperGrid g{"e2", {axis("e2_almost_everywhere", "e2", {}, {64, 256, 512}, 3)},
+              {}};
+  g.tables.push_back(
+      {"E2 / Theorem 2 — almost-everywhere BA via the tournament "
+       "(10% malicious): agreement >= 1 - 1/log n, polylog rounds",
+       "e2",
+       {{"n", n_of, kKey}, {"agree_frac", frac},
+        {"1-1/log n", [](R r) { return 1.0 - 1.0 / lg(r); }, kKey},
+        {"validity", valid}, {"rounds", rounds}, {"log2(n)^2", log2_sq, kKey},
+        {"max_bits/proc", bits}, {"mean_election_agree", election_agree}}});
+  g.tables.push_back(fits(
+      "E2 — fitted scaling exponents (y ~ n^b)",
+      {fit("rounds", 0, "rounds", "~0 (polylog: O(log^{4+d} n / log log n))"),
+       fit("bits/proc", 0, "max_bits/proc",
+           "O~(n^{4/delta}) — sublinear for delta > 4")}));
+  return g;
+}
+
+/// E3 validity: a unanimous input kept at near-everywhere agreement.
+double kept(R r) {
+  return r.report->decided_bit == 1 && frac(r) >= 0.95 ? 1.0 : 0.0;
+}
+
+PaperGrid grid_e3() {
+  // Each case pairs a split-input agreement run with a unanimous-input
+  // validity run (label + "_u") at the same swept value.
+  PaperGrid g{"e3", {}, {}};
+  const auto pair = [&g](const std::string& label, Kv kv,
+                         std::vector<std::size_t> ns) {
+    g.axes.push_back(axis("e3_aeba", label, kv, ns, 4));
+    g.axes.push_back(axis("e3_aeba_unanimous", label + "_u", kv, ns, 4));
+  };
+  for (double c : {0.0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30})
+    pair("e3a", {{"corrupt_fraction", json_double(c)}}, {});
+  for (double b : {0.0, 0.2, 1.0 / 3.0, 0.5, 0.7, 0.9})
+    pair("e3b", {{"bad_coin_fraction", json_double(b)}}, {});
+  pair("e3c", {}, {128, 256, 512, 1024});
+  g.tables.push_back(
+      {"E3a / Theorem 5 — AEBA agreement vs corruption fraction "
+       "(random 2 log n-regular graph, 1/3 of coins adversarial)",
+       "e3a",
+       {{"corrupt", corrupt, kKey}, {"agreement", frac},
+        {"allowance 1-C2/log n", allowance, kKey},
+        {"validity", kept, kMean, "e3a_u"}, {"min_informed", min_informed}}});
+  g.tables.push_back(
+      {"E3b / Theorem 3 — AEBA agreement vs fraction of adversarial coin "
+       "rounds (20% corruption; the theorem needs only t honest rounds)",
+       "e3b",
+       {{"bad_coin_frac", spec_real<&ScenarioSpec::bad_coin_fraction>, kKey},
+        {"agreement", frac}, {"validity", kept, kMean, "e3b_u"}}});
+  g.tables.push_back(
+      {"E3c / Theorem 5 — AEBA agreement vs n (20% corruption, 1/3 bad "
+       "coins): deficit shrinks like C2/log n",
+       "e3c",
+       {{"n", n_of, kKey}, {"agreement", frac},
+        {"deficit", [](R r) { return 1.0 - frac(r); }},
+        {"C2/log n (C2=1.5)", c2_log, kKey}}});
+  return g;
+}
+
+double wrong_frac(R r) {
+  return extra(r, "wrong_count") /
+         static_cast<double>(r.report->n - r.report->corrupt_count);
+}
+
+PaperGrid grid_e4() {
+  PaperGrid g{"e4", {}, {}};
+  for (const char* k : {"0.55", "0.65", "0.75", "0.85", "0.95"})
+    g.axes.push_back(axis("e4_a2e", "e4a", {{"input_fraction", k}}, {}, 3));
+  for (const char* f : {"0", "64", "256", "1024"})
+    g.axes.push_back(
+        axis("e4_flooding", "e4b", {{"flood_per_pair", f}}, {}, 3));
+  g.axes.push_back(axis("e4_cost", "e4c", {}, {256, 1024, 4096}));
+  g.tables.push_back(
+      {"E4a / Lemmas 7-8 — A2E vs knowledgeable fraction (20% corrupt "
+       "responders answer wrongly): loop success and wrong decisions",
+       "e4a",
+       {{"knowledgeable", spec_real<&ScenarioSpec::input_fraction>, kKey},
+        {"first_loop_success",
+         [](R r) { return extra(r, "first_loop_success"); }},
+        {"final_agree_frac", frac}, {"wrong_frac", wrong_frac},
+        {"paper_bound 1-4/(eps*log n)",
+         [](R r) { return 1.0 - 4.0 / (0.1 * lg(r)); }, kKey}}});
+  g.tables.push_back(
+      {"E4b / Lemma 9 — knowledgeable processors overloaded per loop "
+       "under request flooding (bound: (eps/4) n w.p. 1 - 4/(eps log n))",
+       "e4b",
+       {{"flood_per_pair", spec_int<&ScenarioSpec::flood_per_pair>, kKey},
+        {"max_overloaded",
+         [](R r) { return integer(extra(r, "max_overloaded")); }, kMax},
+        {"bound (eps/4)n", [](R r) { return nd(r) * 0.1 / 4.0; }, kKey}}});
+  g.tables.push_back(
+      {"E4c / Theorem 4 — A2E per-processor bits ~ O~(sqrt n)", "e4c",
+       {{"n", n_of, kKey}, {"max_bits/proc", bits},
+        {"bits/(sqrt(n)*log2(n)^2)",
+         [](R r) { return bits(r) / (std::sqrt(nd(r)) * lg(r) * lg(r)); }}}});
+  g.tables.push_back(fits("E4c — fitted exponent",
+                          {fit("a2e bits/proc", 2, "max_bits/proc",
+                               "0.5 + o(1) (Theorem 4)")}));
+  return g;
+}
+
+/// E6's good-winner fraction pools the level's counts over seeds.
+Cell pooled_good_frac(const PaperRuns& rs) {
+  std::size_t good = 0, all = 0;
+  for (const PaperRun& r : rs) {
+    good += r.level->winners_good;
+    all += r.level->winners_total;
+  }
+  return all == 0 ? 1.0 : static_cast<double>(good) / static_cast<double>(all);
+}
+
+PaperGrid grid_e6() {
+  // Rows are tournament levels: one PaperRun per (run, level).
+  PaperGrid g{"e6", {}, {}};
+  for (double c : {0.0, 0.05, 0.10, 0.15}) {
+    const std::string label = "e6_c" + json_double(c);
+    g.axes.push_back(axis("e6_survival", label,
+                          {{"corrupt_fraction", json_double(c)}}, {}, 3));
+    g.tables.push_back(
+        {"E6 / Lemma 6 — good winning-array fraction per level, n=512, "
+         "corrupt=" + std::to_string(c),
+         label,
+         {{"level", level_int<&AeLevelStats::level>, kKey},
+          {"elections", level_int<&AeLevelStats::elections>, kSum},
+          {"winners", level_int<&AeLevelStats::winners_total>, kSum},
+          {"good_winners", level_int<&AeLevelStats::winners_good>, kSum},
+          {"good_frac", {}, kMean, {}, pooled_good_frac},
+          {"bound 2/3-7l/log n",
+           [](R r) { return 2.0 / 3.0 - 7.0 * r.level->level / lg(r); }, kKey},
+          {"election_agreement",
+           [](R r) { return r.level->mean_bin_agreement; }}},
+         true});
+  }
+  return g;
+}
+
+/// E7a's degree multipliers k: degree = max(3, k log2 n).
+constexpr double kE7Multipliers[] = {0.5, 1.0, 2.0, 3.0, 4.0};
+std::size_t e7_degree(double k, std::size_t n) {
+  return std::max<std::size_t>(3, static_cast<std::size_t>(k * std::log2(n)));
+}
+double e7_multiplier(R r) {
+  for (double k : kE7Multipliers)
+    if (e7_degree(k, r.report->n) == r.spec->aeba_degree) return k;
+  return 0.0;
+}
+
+PaperGrid grid_e7() {
+  PaperGrid g{"e7", {}, {}};
+  for (double k : kE7Multipliers)
+    g.axes.push_back(axis("e7_informed", "e7a",
+                          {{"aeba_degree", std::to_string(e7_degree(k, 512))}},
+                          {}, 3));
+  // E7b keeps the registry's default degree, 2 floor(log2 n).
+  g.axes.push_back(axis("e7_informed", "e7b", {}, {128, 512, 2048}, 3));
+  g.tables.push_back(
+      {"E7a / Lemma 11 — informed fraction vs degree multiplier k "
+       "(degree = k log2 n, 20% malicious), n=512",
+       "e7a",
+       {{"k", e7_multiplier, kKey},
+        {"degree", spec_int<&ScenarioSpec::aeba_degree>, kKey},
+        {"mean_informed", mean_informed}, {"min_informed", min_informed, kMin},
+        {"allowance 1-C2/log n", allowance, kKey}}});
+  g.tables.push_back(
+      {"E7b / Lemma 11 — mean informed fraction vs n (degree 2 log2 n, "
+       "20% malicious): deficit tracks C2/log n",
+       "e7b",
+       {{"n", n_of, kKey}, {"mean_informed", mean_informed},
+        {"deficit", [](R r) { return 1.0 - mean_informed(r); }},
+        {"C2/log n (C2=1.5)", c2_log, kKey}}});
+  return g;
+}
+
+/// E9: where the fitted total-bit curves cross, each anchored at its
+/// largest-n point: log(a1) + b1 log n = log(a2) + b2 log n.
+std::vector<Cell> e9_crossover(const PaperContext& c) {
+  const auto xs = column_of(c.tables[0], "n");
+  const auto rabin = column_of(c.tables[0], "rabin_total");
+  const auto ks = column_of(c.tables[0], "kingsaia_total");
+  const double b_r = fit_log_log_exponent(xs, rabin);
+  const double b_k = fit_log_log_exponent(xs, ks);
+  const double la_r = std::log(rabin.back()) - b_r * std::log(xs.back());
+  const double la_k = std::log(ks.back()) - b_k * std::log(xs.back());
+  if (b_r > b_k)
+    return {std::string("King-Saia beats Rabin at n >="),
+            std::exp((la_k - la_r) / (b_r - b_k))};
+  return {std::string("no crossover in range (check exponents)"), 0.0};
+}
+
+PaperGrid grid_e9() {
+  const std::vector<std::size_t> ns = {64, 256, 512, 1024};
+  PaperGrid g{"e9",
+              {axis("e9_rabin", "e9_rabin", {}, ns),
+               axis("e9_benor", "e9_benor", {}, ns),
+               axis("e9_kingsaia", "e9_kingsaia", {}, ns)},
+              {}};
+  g.tables.push_back(
+      {"E9 — total bits, same simulator: quadratic baselines vs King-Saia "
+       "(10% malicious; Ben-Or vs 10% crash, its classic t<n/5 regime)",
+       "e9_rabin",
+       {{"n", n_of, kKey}, {"rabin_total", total},
+        {"benor_total", total, kMean, "e9_benor"},
+        {"kingsaia_total", total, kMean, "e9_kingsaia"},
+        {"rabin_max/proc", bits},
+        {"kingsaia_max/proc", bits, kMean, "e9_kingsaia"}}});
+  g.tables.push_back(fits(
+      "E9 — fitted total-bit exponents (total ~ n^b) and crossover",
+      {fit("Rabin all-to-all", 0, "rabin_total", "2.0 (the O(n^2) barrier)"),
+       fit("Ben-Or all-to-all", 0, "benor_total", "2.0"),
+       fit("King-Saia everywhere BA", 0, "kingsaia_total",
+           "1.5 (n x O~(sqrt n)); laptop constants are large")}));
+  g.tables.push_back(derived("E9 — projected crossover (from fitted curves)",
+                             {"pair", "crossover_n"}, {e9_crossover}));
+  return g;
+}
+
+Cell e10_protocol(R r) {
+  return r.report->protocol == ProtocolKind::kProcessorElection
+             ? "processor-election"
+             : "array-election (King-Saia)";
+}
+Cell e10_adversary(R r) {
+  return r.spec->adversary == AdversaryKind::kAdaptiveTakeover
+             ? "adaptive-takeover"
+             : "static-10%";
+}
+/// E10: array runs elect no processor committee — the winning arrays were
+/// secret-shared and erased, so there is nothing to take over.
+double committee_corrupt(R r) {
+  const auto& e = detail(r).election;
+  return !e || e->committee.empty()
+             ? 0.0
+             : static_cast<double>(e->committee_corrupt) /
+                   static_cast<double>(e->committee.size());
+}
+
+PaperGrid grid_e10() {
+  PaperGrid g{"e10", {}, {}};
+  for (const char* s : {"e10_proc_static", "e10_array_static",
+                        "e10_proc_adaptive", "e10_array_adaptive"})
+    g.axes.push_back(axis(s, "e10", {}, {}, 4));
+  g.tables.push_back(
+      {"E10 / §1.3 — adaptive winner takeover: electing processors "
+       "(KSSV'06-style baseline) vs electing secret-shared arrays "
+       "(this paper), n=256",
+       "e10",
+       {{"protocol", e10_protocol, kKey}, {"adversary", e10_adversary, kKey},
+        {"agree_frac", frac},
+        {"validity_rate",
+         [](R r) { return r.report->decided_bit == 1 ? valid(r) : 0.0; }},
+        {"committee_corrupt_frac", committee_corrupt}}});
+  g.tables.push_back(derived(
+      "E10 — reading", {"observation"},
+      {[](const PaperContext&) {
+        return std::vector<Cell>{std::string(
+            "The adaptive adversary corrupts 100% of the baseline committee "
+            "the moment it is elected and splits the network; the same "
+            "adversary corrupting winning-array owners gains nothing: their "
+            "arrays were secret-shared across whole nodes and erased "
+            "(Section 1.3).")};
+      }}));
+  return g;
+}
+
+/// E11b: serial correlation of the released good words' low bits.
+std::vector<Cell> e11_serial_match(const PaperContext& c) {
+  const AeResult& res = *detail(c.runs("e11b").at(0)).ae;
+  std::vector<int> low;
+  for (std::size_t i = 0; i < res.seq_views.size(); ++i)
+    if (res.seq_word_good[i])
+      low.push_back(static_cast<int>(res.seq_truth[i] & 1));
+  double serial = 0;
+  for (std::size_t i = 1; i < low.size(); ++i)
+    serial += low[i] == low[i - 1] ? 1.0 : 0.0;
+  std::vector<Cell> line{integer(low.size())};
+  line.push_back(low.size() > 1 ? serial / static_cast<double>(low.size() - 1)
+                                : 0.5);
+  return line;
+}
+
+PaperGrid grid_e11() {
+  PaperGrid g{"e11",
+              {axis("e11_coins", "e11", {}, {256, 512}, 3),
+               axis("e11_coins", "e11b",
+                    {{"adversary_seed", "900"}, {"protocol_seed", "901"},
+                     {"input_seed", "902"}, {"coin_words", "8"}},
+                    {512})},
+              {}};
+  g.tables.push_back(
+      {"E11 / §3.5 — global coin subsequence quality (10% malicious): "
+       "usable fraction vs the (s, 2s/3) claim",
+       "e11",
+       {{"n", n_of, kKey},
+        {"seq_len", [](R r) { return integer(quality(r).length); }, kMax},
+        {"good_frac",
+         [](R r) {
+           return static_cast<double>(quality(r).good_words) /
+                  static_cast<double>(quality(r).length);
+         }},
+        {"ref 2/3", [](R) { return 2.0 / 3.0; }, kKey},
+        {"ref 2/3-5/loglog n",
+         [](R r) { return 2.0 / 3.0 - 5.0 / (std::log2(lg(r)) * 4.0); }, kKey},
+        {"min_agreement", [](R r) { return quality(r).min_good_agreement; }},
+        {"bit_bias", [](R r) { return quality(r).good_bit_bias; }}}});
+  g.tables.push_back(
+      derived("E11b — randomness sanity of the good subsequence, n=512",
+              {"good_words", "serial_match_rate (expect ~0.5)"},
+              {e11_serial_match}));
+  return g;
+}
+
+Cell e12_lock(R r) { return r.spec->lock_rule_off ? "off" : "0.85/0.75"; }
+
+PaperGrid grid_e12() {
+  // Each ablation overrides one knob of the e12_ablation base (n = 512,
+  // 10% malicious).
+  PaperGrid g{"e12", {}, {}};
+  const auto knob = [&g](const char* label, const char* field,
+                         std::initializer_list<const char*> values) {
+    for (const char* v : values)
+      g.axes.push_back(axis("e12_ablation", label, {{field, v}}, {}, 2));
+  };
+  knob("e12a", "q", {"4", "8", "16"});
+  knob("e12b", "w", {"1", "2", "3"});
+  knob("e12c", "d_up", {"6", "9", "12", "15"});
+  knob("e12d", "g_intra", {"4", "8", "12", "16"});
+  knob("e12e", "lock_rule_off", {"0", "1"});
+  knob("e12f", "corrupt_fraction",
+       {"0.05", "0.1", "0.15", "0.2", "0.25", "0.3"});
+  const PaperColumn agree{"agree", frac}, ok{"valid", valid},
+      cost{"max_bits/proc", bits}, time{"rounds", rounds};
+  g.tables = {
+      {"E12a — branching factor q (tree depth vs election width), n=512",
+       "e12a",
+       {{"q", spec_int<&ScenarioSpec::q>, kKey}, agree, ok, cost, time}},
+      {"E12b — winners per election w (candidate pool size)", "e12b",
+       {{"w", spec_int<&ScenarioSpec::w>, kKey}, agree, ok, cost, time}},
+      {"E12c — uplink degree d_up: share blowup (cost) vs Berlekamp-Welch "
+       "margin (robustness). t = d/4, corrects (d - d/4 - 1)/2",
+       "e12c",
+       {{"d_up", spec_int<&ScenarioSpec::d_up>, kKey}, agree, ok, cost}},
+      {"E12d — intra-node vote-graph out-degree (Lemma 11's k)", "e12d",
+       {{"g_intra", spec_int<&ScenarioSpec::g_intra>, kKey}, agree, ok, cost}},
+      {"E12e — Rabin decide/lock rule: on (default) vs paper-literal "
+       "commit-at-end (lock disabled)",
+       "e12e", {{"lock", e12_lock, kKey}, agree, ok}},
+      {"E12f — corruption tolerance at laptop-scale parameters "
+       "(docs/ARCHITECTURE.md: the binomial-tail limit)",
+       "e12f", {{"corrupt", corrupt, kKey}, agree, ok}}};
+  return g;
+}
+
+/// E13c: the committee's corrupt fraction once it is public and an
+/// adaptive adversary spends its remaining budget on it (replayed on the
+/// run's final corruption state) — why agreement must elect arrays.
+double corrupt_after_publication(R r) {
+  std::vector<bool> corrupt = detail(r).corrupt_mask;
+  std::size_t budget_left =
+      r.spec->n / r.spec->budget_div - r.report->corrupt_count;
+  std::size_t corrupted = 0;
+  for (ProcId p : universe(r).committee) {
+    if (!corrupt[p] && budget_left > 0) {
+      corrupt[p] = true;
+      --budget_left;
+    }
+    corrupted += corrupt[p] ? 1 : 0;
+  }
+  return static_cast<double>(corrupted) /
+         static_cast<double>(universe(r).committee.size());
+}
+
+/// An E13c line: `label` and the mean of `f` over the e13c runs.
+Line e13_moment(const char* label, double (*f)(R)) {
+  return [=](const PaperContext& c) -> std::vector<Cell> {
+    double sum = 0;
+    const PaperRuns runs = c.runs("e13c");
+    for (const PaperRun& r : runs) sum += f(r);
+    return {std::string(label), sum / static_cast<double>(runs.size())};
+  };
+}
+
+PaperGrid grid_e13() {
+  PaperGrid g{"e13", {}, {}};
+  for (const char* c : {"0", "0.05", "0.1"})
+    g.axes.push_back(
+        axis("e13_universe", "e13a", {{"corrupt_fraction", c}}, {}, 3));
+  for (const char* s : {"4", "8", "16", "32"})  // 8 words cover size 32
+    g.axes.push_back(axis("e13_universe", "e13b",
+                          {{"adversary_seed", "300"}, {"protocol_seed", "400"},
+                           {"coin_words", "8"}, {"committee_size", s}},
+                          {}, 3));
+  g.axes.push_back(axis("e13_universe", "e13c",
+                        {{"adversary_seed", "500"}, {"protocol_seed", "600"}},
+                        {}, 3));
+  const PaperColumn good{"committee_good_frac", committee_good},
+      population{"population_good_frac",
+                 [](R r) { return universe(r).population_good_fraction; }};
+  constexpr auto size = spec_int<&ScenarioSpec::committee_size>;
+  g.tables = {
+      {"E13a / §1 — universe reduction: committee good-fraction vs "
+       "population (representative sampling), n=256",
+       "e13a",
+       {{"corrupt", corrupt, kKey}, {"committee", size, kKey}, good, population,
+        {"view_agreement", [](R r) { return universe(r).view_agreement; }}}},
+      {"E13b — committee size sweep (10% malicious): sampling stays "
+       "representative as the committee grows",
+       "e13b", {{"committee_size", size, kKey}, good, population}},
+      derived("E13c — the adaptive caveat: committee corruption before vs "
+              "after publication, n=256",
+              {"moment", "committee_corrupt_frac"},
+              {e13_moment("at sampling",
+                          [](R r) { return 1.0 - committee_good(r); }),
+               e13_moment("after publication (adaptive)",
+                          corrupt_after_publication)})};
+  return g;
+}
+
+/// One value cell: the seed-order sum (or extremum), a mean dividing once
+/// at the end as the seed loops always did, so cells stay bit-identical.
+/// Integral metrics stay integers.
+Cell reduce(const PaperColumn& c, const PaperRuns& runs) {
+  if (c.reduce) return c.reduce(runs);
+  double acc = c.agg == kMin ? HUGE_VAL : c.agg == kMax ? -HUGE_VAL : 0.0;
+  bool integral = true;
+  for (const PaperRun& r : runs) {
+    const Cell v = c.metric(r);
+    integral = integral && std::holds_alternative<std::int64_t>(v);
+    const double x = as_double(v);
+    acc = c.agg == kMin   ? std::min(acc, x)
+          : c.agg == kMax ? std::max(acc, x)
+                          : acc + x;
+  }
+  if (c.agg == kMean) return acc / static_cast<double>(runs.size());
+  return integral ? Cell(static_cast<std::int64_t>(acc)) : Cell(acc);
+}
+
+}  // namespace
+
+const std::vector<PaperGrid>& paper_grids() {
+  static const std::vector<PaperGrid> grids = {
+      grid_e1(), grid_e2(),  grid_e3(),  grid_e4(),  grid_e6(), grid_e7(),
+      grid_e9(), grid_e10(), grid_e11(), grid_e12(), grid_e13()};
+  return grids;
+}
+
+const PaperGrid* find_paper_grid(const std::string& name) {
+  for (const PaperGrid& g : paper_grids())
+    if (g.name == name) return &g;
+  return nullptr;
+}
+
+std::vector<Table> render_paper_tables(const PaperGrid& grid,
+                                       const std::vector<SweepJob>& jobs,
+                                       const std::vector<RunReport>& reports) {
+  BA_REQUIRE(jobs.size() == reports.size(), "one report per job");
+  const auto runs_of = [&](const std::string& label, bool per_level) {
+    PaperRuns out;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (reports[i].scenario != label) continue;
+      BA_REQUIRE(reports[i].detail != nullptr,
+                 "paper tables read the detail block: run in process");
+      if (!per_level) out.push_back({&jobs[i].spec, &reports[i], nullptr});
+      else
+        for (const AeLevelStats& lvl : reports[i].detail->ae->levels)
+          out.push_back({&jobs[i].spec, &reports[i], &lvl});
+    }
+    return out;
+  };
+  std::vector<Table> tables;
+  for (const PaperTable& spec : grid.tables) {
+    Table t(spec.caption);
+    if (!spec.lines.empty()) {
+      t.header(spec.header);
+      const PaperContext ctx{
+          tables, [&](const std::string& l) { return runs_of(l, false); }};
+      for (const auto& line : spec.lines) t.row(line(ctx));
+      tables.push_back(std::move(t));
+      continue;
+    }
+    std::vector<std::string> header;
+    for (const PaperColumn& c : spec.columns) header.push_back(c.header);
+    t.header(std::move(header));
+    // A run's key cells, in column position (value columns left empty).
+    const auto key_of = [&spec](R r) {
+      std::vector<Cell> key;
+      for (const PaperColumn& c : spec.columns)
+        key.push_back(c.agg == kKey ? c.metric(r) : Cell());
+      return key;
+    };
+    std::vector<std::pair<std::vector<Cell>, PaperRuns>> rows;  // job order
+    for (const PaperRun& r : runs_of(spec.scenario, spec.per_level)) {
+      std::vector<Cell> key = key_of(r);
+      auto it = std::find_if(rows.begin(), rows.end(), [&key](const auto& row) {
+        return row.first == key;
+      });
+      if (it == rows.end()) it = rows.insert(it, {std::move(key), {}});
+      it->second.push_back(r);
+    }
+    BA_REQUIRE(!rows.empty(), "paper table without runs: " + spec.caption);
+    for (auto& [cells, runs] : rows) {
+      const std::vector<Cell> key = cells;
+      for (std::size_t i = 0; i < cells.size(); ++i) {
+        const PaperColumn& c = spec.columns[i];
+        if (c.agg == kKey) continue;
+        PaperRuns source = runs;
+        if (!c.source.empty()) {
+          source.clear();
+          for (const PaperRun& r : runs_of(c.source, spec.per_level))
+            if (key_of(r) == key) source.push_back(r);
+        }
+        BA_REQUIRE(!source.empty(), "paper column without runs: " + c.header);
+        cells[i] = reduce(c, source);
+      }
+      t.row(std::move(cells));
+    }
+    tables.push_back(std::move(t));
+  }
+  return tables;
 }
 
 // ----------------------------------------------------- NDJSON reading --

@@ -16,6 +16,10 @@
 //    axes expanded into the deterministic job list behind the committed
 //    BENCH_protocol.json (the "default" grid: 200+ jobs, everywhere-BA
 //    n-curve 16..256 plus every protocol family and scheduler mode).
+//  * paper_grids / render_paper_tables — the E-series experiment tables
+//    as data: named grids (e1 … e13) whose table specs reduce in-process
+//    runs, detail blocks included, into ba::Table rows and exponent fits
+//    (`ba_sweep --grid e1`).
 //  * parse_report_json — a strict reader for RunReport::write_json's
 //    NDJSON schema. Parse → re-emit is byte-identical (the golden-file
 //    round-trip test pins it), which is what lets the aggregator consume
@@ -37,6 +41,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
@@ -44,6 +49,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/table.h"
 #include "sim/report.h"
 #include "sim/scenario.h"
 
@@ -90,6 +96,75 @@ std::vector<SweepJob> expand_grid(const std::vector<GridAxis>& axes);
 /// everywhere-BA n-curve (16..256, the exponent-fit family) plus every
 /// protocol family and scheduler mode at laptop scale, 200+ jobs.
 std::vector<GridAxis> default_grid();
+
+// -------------------------------------------------------- paper grids --
+
+/// One finished run as a paper table reads it. Per-level tables see one
+/// PaperRun per tournament level of the run, with `level` set.
+struct PaperRun {
+  const ScenarioSpec* spec = nullptr;
+  const RunReport* report = nullptr;  ///< detail block engaged
+  const AeLevelStats* level = nullptr;
+};
+using PaperRuns = std::vector<PaperRun>;
+
+/// How a column reduces a row's runs (in job, i.e. seed, order). A rate
+/// is the mean of a 0/1 metric.
+enum class PaperAgg { kKey, kMean, kMin, kMax, kSum };
+
+/// One column of a row table. Key columns select the row: runs whose key
+/// cells all match form one row (so per-row constants such as bounds are
+/// keys too). The other columns reduce the row's runs, or, with a
+/// `source` label, that group's runs with the same key cells. `reduce`
+/// replaces metric and agg for a one-off reduction.
+struct PaperColumn {
+  std::string header;
+  std::function<Cell(const PaperRun&)> metric;
+  PaperAgg agg = PaperAgg::kMean;
+  std::string source = {};
+  std::function<Cell(const PaperRuns&)> reduce = {};
+};
+
+/// What a derived line reads: the grid's tables rendered so far, and the
+/// runs of any group label.
+struct PaperContext {
+  const std::vector<Table>& tables;
+  std::function<PaperRuns(const std::string&)> runs;
+};
+
+/// A row table reads the runs whose report.scenario is `scenario` (an
+/// axis relabeled by a "name" override). A derived table (`lines` set)
+/// has an explicit header and computes each line from the context: the
+/// exponent fits, E9's projected crossover, the few one-off tables.
+struct PaperTable {
+  std::string caption;
+  std::string scenario;
+  std::vector<PaperColumn> columns;
+  bool per_level = false;  ///< rows over each run's AeLevelStats entries
+  std::vector<std::string> header = {};
+  std::vector<std::function<std::vector<Cell>(const PaperContext&)>> lines =
+      {};
+};
+
+/// A named paper grid (`ba_sweep --grid e1`): one E-series experiment's
+/// axes, seed offsets 0..k-1, plus the tables it prints.
+struct PaperGrid {
+  std::string name;
+  std::vector<GridAxis> axes;
+  std::vector<PaperTable> tables;
+};
+
+/// e1, e2, e3, e4, e6, e7, e9, e10, e11, e12 and e13.
+const std::vector<PaperGrid>& paper_grids();
+
+/// nullptr for names that are not paper grids ("default" included).
+const PaperGrid* find_paper_grid(const std::string& name);
+
+/// The grid's tables from its runs: `reports[i]` is job i's report with
+/// its detail block (run_scenario in process).
+std::vector<Table> render_paper_tables(const PaperGrid& grid,
+                                       const std::vector<SweepJob>& jobs,
+                                       const std::vector<RunReport>& reports);
 
 // ----------------------------------------------------- NDJSON reading --
 

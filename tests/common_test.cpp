@@ -513,15 +513,6 @@ TEST(Table, RowWidthMustMatchHeader) {
   EXPECT_THROW(t.row({std::int64_t{1}}), std::logic_error);
 }
 
-TEST(Table, CsvOutput) {
-  Table t("demo");
-  t.header({"a", "b"});
-  t.row({std::int64_t{1}, std::int64_t{2}});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(FitLogLog, RecoversExponent) {
   std::vector<double> xs, ys;
   for (double x : {16.0, 64.0, 256.0, 1024.0}) {
@@ -539,31 +530,6 @@ TEST(FitLogLog, IgnoresNonPositivePoints) {
 
 TEST(FitLogLog, NeedsTwoPoints) {
   EXPECT_THROW(fit_log_log_exponent({1.0}, {1.0}), std::logic_error);
-}
-
-TEST(TableCsv, PlainCellsStayUnquoted) {
-  Table t("caption is not emitted");
-  t.header({"n", "value"});
-  t.row({std::int64_t{4}, 1.5});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "n,value\n4,1.5\n");
-}
-
-TEST(TableCsv, Rfc4180QuotesSeparatorsQuotesAndNewlines) {
-  // Cells with commas/quotes used to be emitted raw, shifting every
-  // later column of the row — RFC 4180 requires quoting the cell and
-  // doubling embedded quotes.
-  Table t("csv escaping");
-  t.header({"series, unit", "note"});
-  t.row({std::string("a \"quoted\" name"), std::string("line\nbreak")});
-  t.row({std::string("plain"), std::string("also plain")});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(),
-            "\"series, unit\",note\n"
-            "\"a \"\"quoted\"\" name\",\"line\nbreak\"\n"
-            "plain,also plain\n");
 }
 
 }  // namespace

@@ -284,6 +284,21 @@ TEST(BatchedBerlekampWelch, RejectsDuplicatePoints) {
   EXPECT_THROW(BatchedBerlekampWelch(xs, 0, 1), std::logic_error);
 }
 
+TEST(RobustDecoder, RejectsRepeatedPoints) {
+  // ShareFlow's point sets are distinct by construction (distinct chains
+  // under one parent), so the decoder has no repeated-point path: a
+  // repeat among the first t+1 points or among the redundant ones is
+  // rejected, and so is a share set with a repeated x.
+  EXPECT_THROW(RobustDecoder({Fp(1), Fp(2), Fp(2), Fp(3), Fp(4)}, 1),
+               std::logic_error);
+  EXPECT_THROW(RobustDecoder({Fp(1), Fp(2), Fp(3), Fp(4), Fp(1)}, 1),
+               std::logic_error);
+  Rng rng(7);
+  auto shares = ShamirScheme(5, 1).deal(random_secret(rng, 2), rng);
+  shares[4].x = shares[0].x;
+  EXPECT_THROW(robust_reconstruct(shares, 1), std::logic_error);
+}
+
 // -------------------------------------------------------- RobustDecoder --
 
 TEST(RobustDecoder, MatchesRobustReconstructUnderCorruption) {

@@ -6,8 +6,11 @@
 //  * NDJSON reader — parse → re-emit is byte-identical against the
 //    committed golden files (both the stable and the timed form), and
 //    schema deviations throw;
-//  * grid expansion — the default grid is deterministic and ≥ 200 jobs
-//    (the committed BENCH_protocol.json's job cloud);
+//  * grid expansion — every named grid (the default ledger grid and the
+//    e1 … e13 paper grids) expands deterministically into registry
+//    scenarios and replayable job lines; the default grid is ≥ 200 jobs
+//    (the committed BENCH_protocol.json's job cloud), and the cheapest
+//    paper grid renders its tables end to end;
 //  * aggregation — rates/medians over a synthetic report set, and the
 //    exponent fit recovers a planted √n · log³ curve;
 //  * the fuzzer itself — a bounded smoke sweep (the CI job runs 1000+)
@@ -131,15 +134,33 @@ TEST(NdjsonReader, RejectsSchemaDeviations) {
       << "unexpected key";
 }
 
-TEST(Grid, DefaultGridIsDeterministicAndBig) {
+TEST(Grid, EveryNamedGridIsDeterministicAndReplayable) {
+  std::vector<std::pair<std::string, std::vector<sim::GridAxis>>> grids = {
+      {"default", sim::default_grid()}};
+  for (const sim::PaperGrid& g : sim::paper_grids()) {
+    EXPECT_EQ(sim::find_paper_grid(g.name), &g);
+    grids.emplace_back(g.name, g.axes);
+  }
+  EXPECT_EQ(grids.size(), 12u);
+  EXPECT_EQ(sim::find_paper_grid("default"), nullptr);
+  for (const auto& [name, axes] : grids) {
+    SCOPED_TRACE(name);
+    for (const sim::GridAxis& axis : axes)
+      EXPECT_NE(ScenarioRegistry::find(axis.scenario), nullptr)
+          << axis.scenario;
+    const auto jobs = sim::expand_grid(axes);
+    ASSERT_FALSE(jobs.empty());
+    const auto again = sim::expand_grid(axes);
+    ASSERT_EQ(jobs.size(), again.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const std::string line = sim::format_job_line(jobs[i]);
+      EXPECT_EQ(line, sim::format_job_line(again[i]));
+      EXPECT_EQ(sim::format_job_line(sim::parse_job_line(line)), line);
+    }
+  }
+
   const auto jobs = sim::expand_grid(sim::default_grid());
   EXPECT_GE(jobs.size(), 200u);
-  const auto again = sim::expand_grid(sim::default_grid());
-  ASSERT_EQ(jobs.size(), again.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(jobs[i].spec, again[i].spec);
-    EXPECT_EQ(jobs[i].seed_offset, again[i].seed_offset);
-  }
   // The exponent-fit family must span 3+ distinct n of everywhere runs.
   std::vector<std::size_t> fit_ns;
   for (const SweepJob& job : jobs)
@@ -150,6 +171,36 @@ TEST(Grid, DefaultGridIsDeterministicAndBig) {
       if (!seen) fit_ns.push_back(job.spec.n);
     }
   EXPECT_GE(fit_ns.size(), 3u);
+}
+
+TEST(Grid, CheapestPaperGridRendersItsTables) {
+  // e4: row tables with key bounds, a kMax integer column, and a derived
+  // exponent-fit table over an earlier table.
+  const sim::PaperGrid& grid = *sim::find_paper_grid("e4");
+  const auto jobs = sim::expand_grid(grid.axes);
+  std::vector<RunReport> reports;
+  for (const SweepJob& job : jobs)
+    reports.push_back(sim::run_scenario(job.spec, job.seed_offset));
+  const std::vector<Table> tables =
+      sim::render_paper_tables(grid, jobs, reports);
+  ASSERT_EQ(tables.size(), grid.tables.size());
+  const std::vector<std::size_t> rows = {5, 4, 3, 1};
+  ASSERT_EQ(tables.size(), rows.size());
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    SCOPED_TRACE(tables[i].caption());
+    EXPECT_EQ(tables[i].caption(), grid.tables[i].caption);
+    std::vector<std::string> header = grid.tables[i].header;
+    for (const sim::PaperColumn& c : grid.tables[i].columns)
+      header.push_back(c.header);
+    EXPECT_EQ(tables[i].header(), header);
+    EXPECT_EQ(tables[i].num_rows(), rows[i]);
+  }
+  // Key cells keep their type: E4b's flood_per_pair and max_overloaded
+  // are integers, E4c's n column feeds the fit.
+  EXPECT_EQ(std::get<std::int64_t>(tables[1].rows()[3][0]), 1024);
+  EXPECT_TRUE(std::holds_alternative<std::int64_t>(tables[1].rows()[0][1]));
+  EXPECT_EQ(std::get<std::int64_t>(tables[2].rows()[0][0]), 256);
+  EXPECT_GT(std::get<double>(tables[3].rows()[0][1]), 0.0);
 }
 
 TEST(Grid, ExpandAppliesOverridesAndRelabels) {

@@ -8,7 +8,7 @@
 //   ba_run --scenario quickstart --set n=1024 --set corrupt_fraction=0.2
 //   ba_run --all [--json]         # sweep every non-heavy scenario
 //
-// `--seeds N` runs seed offsets 0..N-1 (the benches' `base + s` sweep).
+// `--seeds N` runs seed offsets 0..N-1 (the grids' `base + s` sweep).
 // `--json` emits one JSON object per run (NDJSON); the default is a
 // table. `--no-timing` omits wall_ms for byte-stable output (the golden
 // form). Environment defaults: BA_SEEDS, BA_WORKERS, BA_JSON=1,

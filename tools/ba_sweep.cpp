@@ -3,6 +3,7 @@
 //
 //   ba_sweep --grid default --jobs 2
 //            --out runs.ndjson --ledger BENCH_protocol.json
+//   ba_sweep --grid e1 [--out runs.ndjson]   # a paper table grid
 //   ba_sweep --print-jobs --grid default     # job lines, no runs
 //   ba_sweep --fuzz 1000 [--seed S | --seed-from-ci] [--ndjson path]
 //   ba_sweep --replay 'seed_offset=0 name=... protocol=...'
@@ -14,7 +15,9 @@
 // shard NDJSON streams back into job order, and aggregates them into the
 // BENCH_protocol.json ledger — including the least-squares fitted
 // exponent of max-bits vs n for the everywhere-BA family, gated at
-// kLog3ExponentCeiling (the Õ(√n) story).
+// kLog3ExponentCeiling (the Õ(√n) story). A paper grid (e1 … e13) runs
+// in process instead — its tables read each run's detail block — and
+// prints the E-series tables (sim/sweep.h paper_grids).
 //
 // Fuzz mode generates `count` random valid specs, drives each through
 // every cross-cutting invariant (sim/sweep.h check_job), and prints any
@@ -26,6 +29,7 @@
 #include <chrono>
 #include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,15 +47,20 @@ namespace {
 using ba::sim::RunReport;
 using ba::sim::SweepJob;
 
+/// --jobs not given: 2 shards for "default"; paper grids run in process.
+constexpr std::size_t kJobsUnset = SIZE_MAX;
+
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --grid default [--jobs N] [--out runs.ndjson]\n"
       "          [--ledger BENCH_protocol.json] [--shard-timeout SECONDS]\n"
-      "       %s --print-jobs [--grid default]\n"
+      "       %s --grid e1|e2|e3|e4|e6|e7|e9|e10|e11|e12|e13 "
+      "[--out runs.ndjson]\n"
+      "       %s --print-jobs [--grid NAME]\n"
       "       %s --fuzz COUNT [--seed S | --seed-from-ci] [--ndjson path]\n"
       "       %s --replay 'seed_offset=K key=value ...'\n",
-      argv0, argv0, argv0, argv0);
+      argv0, argv0, argv0, argv0, argv0);
   return 2;
 }
 
@@ -102,26 +111,37 @@ pid_t spawn_shard(const std::string& ba_run, const std::string& prefix,
 int run_grid(const std::string& grid_name, std::size_t jobs_procs,
              const std::string& out_path, const std::string& ledger_path,
              bool print_jobs, long shard_timeout_s) {
-  if (grid_name != "default") {
-    std::fprintf(stderr, "unknown grid: %s (only 'default' is defined)\n",
-                 grid_name.c_str());
+  const ba::sim::PaperGrid* paper = ba::sim::find_paper_grid(grid_name);
+  if (paper == nullptr && grid_name != "default") {
+    std::fprintf(stderr, "unknown grid: %s\n", grid_name.c_str());
     return 2;
   }
-  const std::vector<SweepJob> jobs =
-      ba::sim::expand_grid(ba::sim::default_grid());
+  const std::vector<SweepJob> jobs = ba::sim::expand_grid(
+      paper != nullptr ? paper->axes : ba::sim::default_grid());
   if (print_jobs) {
     for (const SweepJob& job : jobs)
       std::cout << ba::sim::format_job_line(job) << '\n';
     return 0;
   }
+  // Paper tables read the runs' detail blocks, which the NDJSON stream
+  // does not carry: a paper grid runs in process and feeds no ledger.
+  if (paper != nullptr &&
+      ((jobs_procs != kJobsUnset && jobs_procs > 1) || !ledger_path.empty())) {
+    std::fprintf(stderr, "grid %s runs in process: no --jobs N>1 or "
+                         "--ledger\n", grid_name.c_str());
+    return 2;
+  }
+  if (jobs_procs == kJobsUnset) jobs_procs = paper != nullptr ? 1 : 2;
   if (jobs_procs == 0) jobs_procs = 1;
   if (jobs_procs > jobs.size()) jobs_procs = jobs.size();
   std::fprintf(stderr, "grid %s: %zu jobs across %zu process%s\n",
                grid_name.c_str(), jobs.size(), jobs_procs,
                jobs_procs == 1 ? "" : "es");
 
-  // One NDJSON line per job, in job order.
+  // One NDJSON line per job, in job order; a paper grid keeps the
+  // in-process reports themselves.
   std::vector<std::string> lines;
+  std::vector<RunReport> paper_reports;
   lines.reserve(jobs.size());
   if (jobs_procs == 1) {
     // In-process fallback: same artifact path (format -> parse -> run)
@@ -129,11 +149,11 @@ int run_grid(const std::string& grid_name, std::size_t jobs_procs,
     for (const SweepJob& job : jobs) {
       const SweepJob parsed =
           ba::sim::parse_job_line(ba::sim::format_job_line(job));
-      const RunReport r =
-          ba::sim::run_scenario(parsed.spec, parsed.seed_offset);
+      RunReport r = ba::sim::run_scenario(parsed.spec, parsed.seed_offset);
       std::ostringstream os;
       r.write_json(os, /*include_timing=*/true);
       lines.push_back(os.str());
+      if (paper != nullptr) paper_reports.push_back(std::move(r));
     }
   } else {
     // Round-robin split; the merge below interleaves the shard streams
@@ -230,6 +250,14 @@ int run_grid(const std::string& grid_name, std::size_t jobs_procs,
     std::ofstream out(out_path);
     for (const std::string& line : lines) out << line << '\n';
   }
+  if (paper != nullptr) {
+    for (const ba::Table& t :
+         ba::sim::render_paper_tables(*paper, jobs, paper_reports)) {
+      t.print(std::cout);
+      std::cout << '\n';
+    }
+    return 0;
+  }
 
   // Aggregate. Parsing the NDJSON (rather than keeping RunReport objects)
   // is deliberate: the ledger is a pure function of the report stream, so
@@ -271,7 +299,7 @@ int run_grid(const std::string& grid_name, std::size_t jobs_procs,
 
 int main(int argc, char** argv) {
   std::string grid_name, out_path, ledger_path, ndjson_path, replay_line;
-  std::size_t jobs_procs = 2;
+  std::size_t jobs_procs = kJobsUnset;
   long shard_timeout_s = 3600;
   std::size_t fuzz_count = 0;
   std::uint64_t fuzz_seed = 1;
