@@ -303,10 +303,12 @@ Comparison compare_shamir_deal() {
 
 Comparison compare_damaged_word_decode() {
   // Acceptance target: >= 2x on beyond-fast-path decoding. 5 of 48 shares
-  // fully corrupted (budget is (48 - 13) / 2 = 17): every word takes the
-  // damaged path. Seed: fresh Berlekamp–Welch system build + Gaussian
-  // solve per word. Current: shared-point-set Gao context, O(m^2) per
-  // word, cached across calls by the SchemeCache.
+  // fully corrupted (budget is (48 - 13) / 2 = 17), so every word is
+  // damaged. This draw corrupts shares 1, 29, 34, 37 and 47: head 0
+  // (shares 0..12) fails, and the second disjoint head (13..25) is clean
+  // and explains every word, so no word reaches Gao. Seed: fresh
+  // Berlekamp–Welch system build + Gaussian solve per word. Current: the
+  // cached decoder's head search.
   constexpr std::size_t kShares = 48, kThreshold = 12, kWords = 64;
   Rng rng(3001);
   ShamirScheme scheme(kShares, kThreshold);
@@ -388,6 +390,43 @@ Comparison compare_tagged_inbox_scan() {
   c.current_ns = time_ns_per_op([&] {
     auto acc = current_tally();
     benchmark::DoNotOptimize(acc);
+  });
+  return c;
+}
+
+Comparison compare_dirty_word_decode() {
+  // The share flows' committee shape, m = 12 and t = 3 (error budget 4),
+  // with one lying share inside the first t+1 positions: every word is
+  // damaged and fails the exact head-0 check. Legacy: the decoder before
+  // head search, which sent each such word to Gao. Current: head 0
+  // rejects it, the next disjoint head explains it.
+  constexpr std::size_t kShares = 12, kThreshold = 3, kWords = 32;
+  Rng rng(3101);
+  ShamirScheme scheme(kShares, kThreshold);
+  std::vector<Fp> secret(kWords);
+  for (auto& w : secret) w = Fp(rng.next());
+  auto shares = scheme.deal(secret, rng);
+  for (auto& y : shares[rng.below(kThreshold + 1)].ys) y = Fp(rng.next());
+  std::vector<Fp> xs(kShares);
+  for (std::size_t i = 0; i < kShares; ++i) xs[i] = Fp(shares[i].x);
+  const legacy::PerWordGaoDecoder per_word(xs, kThreshold);
+  SchemeCache cache;
+  const RobustDecoder& dec = cache.robust(xs, kThreshold);
+  BA_REQUIRE(per_word.reconstruct(shares) ==
+                 std::optional<std::vector<Fp>>(secret),
+             "legacy per-word Gao decode failed");
+  BA_REQUIRE(dec.reconstruct(shares) == std::optional<std::vector<Fp>>(secret),
+             "head-search decode failed");
+  Comparison c;
+  c.name = "dirty_word_decode";
+  c.params = "shares=12 threshold=3 words=32 lying_share_in_head0";
+  c.legacy_ns = time_ns_per_op([&] {
+    auto rec = per_word.reconstruct(shares);
+    benchmark::DoNotOptimize(rec);
+  });
+  c.current_ns = time_ns_per_op([&] {
+    auto rec = dec.reconstruct(shares);
+    benchmark::DoNotOptimize(rec);
   });
   return c;
 }
@@ -978,6 +1017,7 @@ int write_comparison_json() {
   comps.push_back(compare_shamir_reconstruct());
   comps.push_back(compare_shamir_deal());
   comps.push_back(compare_damaged_word_decode());
+  comps.push_back(compare_dirty_word_decode());
   comps.push_back(compare_network_round());
   comps.push_back(compare_payload_churn());
   comps.push_back(compare_tagged_inbox_scan());

@@ -6,9 +6,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/field.h"
+#include "common/simd.h"
 #include "crypto/shamir.h"
 #include "net/stats.h"
 
@@ -153,6 +155,185 @@ inline std::optional<std::vector<Fp>> robust_reconstruct_damaged(
   }
   return secret;
 }
+
+// --- per-word Gao decoding: the robust decoder before head search. A
+// word failing the exact check on the first t+1 points went straight to
+// Gao, whose Euclid run inverted the divisor's leading coefficient at
+// every step and allocated its working polynomials per word
+// (src/crypto/{gao,scheme_cache}.cpp before the head search). ---
+
+inline constexpr std::size_t kZeroPoly = static_cast<std::size_t>(-1);
+
+inline std::size_t poly_deg(const std::vector<Fp>& p) {
+  for (std::size_t i = p.size(); i-- > 0;)
+    if (!p[i].is_zero()) return i;
+  return kZeroPoly;
+}
+
+inline std::vector<Fp> poly_divmod(std::vector<Fp>& num,
+                                   const std::vector<Fp>& den,
+                                   std::size_t den_deg) {
+  const std::size_t nd = poly_deg(num);
+  if (nd == kZeroPoly || nd < den_deg) return {};
+  const Fp lead_inv = den[den_deg].inverse();
+  std::vector<Fp> quot(nd - den_deg + 1, Fp(0));
+  for (std::size_t qi = quot.size(); qi-- > 0;) {
+    const Fp coef = num[qi + den_deg] * lead_inv;
+    if (coef.is_zero()) continue;
+    quot[qi] = coef;
+    simd::fnma_mod_p(&num[qi], den.data(), coef, den_deg + 1);
+  }
+  return quot;
+}
+
+class GaoContext {
+ public:
+  explicit GaoContext(std::vector<Fp> xs) : xs_(std::move(xs)) {
+    const std::size_t m = xs_.size();
+    g0_.assign(m + 1, Fp(0));
+    g0_[0] = Fp(1);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t c = i + 1; c-- > 0;) {
+        g0_[c + 1] += g0_[c];
+        g0_[c] *= Fp(0) - xs_[i];
+      }
+    }
+    inv_dens_.reserve(m * (m - 1) / 2);
+    for (std::size_t k = 1; k < m; ++k)
+      for (std::size_t i = k; i < m; ++i)
+        inv_dens_.push_back(xs_[i] - xs_[i - k]);
+    batch_inverse(inv_dens_);
+  }
+
+  std::optional<std::vector<Fp>> decode(const std::vector<Fp>& ys,
+                                        std::size_t degree,
+                                        std::size_t max_errors) const {
+    const std::size_t m = xs_.size();
+    std::vector<Fp> p;
+    std::vector<Fp> g1 = interpolate_all(ys);
+    if (poly_deg(g1) == kZeroPoly || poly_deg(g1) <= degree) {
+      p = std::move(g1);
+    } else {
+      std::vector<Fp> r_prev = g0_, r_cur = std::move(g1);
+      std::vector<Fp> v_prev{Fp(0)}, v_cur{Fp(1)};
+      bool zero_message = false;
+      for (;;) {
+        const std::size_t dc = poly_deg(r_cur);
+        if (dc == kZeroPoly) {
+          zero_message = true;
+          break;
+        }
+        if (2 * dc < m + degree + 1) break;
+        std::vector<Fp> quot = poly_divmod(r_prev, r_cur, dc);
+        const std::size_t vd = poly_deg(v_cur);
+        if (vd != kZeroPoly && !quot.empty()) {
+          v_prev.resize(std::max(v_prev.size(), quot.size() + vd + 1),
+                        Fp(0));
+          for (std::size_t qi = 0; qi < quot.size(); ++qi) {
+            if (quot[qi].is_zero()) continue;
+            simd::fnma_mod_p(&v_prev[qi], v_cur.data(), quot[qi], vd + 1);
+          }
+        }
+        std::swap(r_prev, r_cur);
+        std::swap(v_prev, v_cur);
+      }
+      if (zero_message) {
+        p.assign(1, Fp(0));
+      } else {
+        auto f = poly_divide_exact(std::move(r_cur), v_cur);
+        if (!f) return std::nullopt;
+        p = std::move(*f);
+      }
+    }
+    const std::size_t pd = poly_deg(p);
+    if (pd != kZeroPoly && pd > degree) return std::nullopt;
+    if (p.size() > degree + 1) p.resize(degree + 1);
+    std::vector<Fp> evals(m, Fp(0));
+    for (std::size_t c = p.size(); c-- > 0;)
+      simd::horner_step_mod_p(evals.data(), xs_.data(), p[c], m);
+    std::size_t errors = 0;
+    for (std::size_t i = 0; i < m; ++i)
+      if (evals[i] != ys[i]) ++errors;
+    if (errors > max_errors) return std::nullopt;
+    return p;
+  }
+
+ private:
+  std::vector<Fp> interpolate_all(const std::vector<Fp>& ys) const {
+    const std::size_t m = xs_.size();
+    std::vector<Fp> a = ys;
+    std::vector<Fp> prev(m);
+    std::size_t di = 0;
+    for (std::size_t k = 1; k < m; ++k) {
+      prev = a;
+      simd::sub_mul_mod_p(&a[k], &prev[k], &prev[k - 1], &inv_dens_[di],
+                          m - k);
+      di += m - k;
+    }
+    std::vector<Fp> out(m, Fp(0));
+    out[0] = a[m - 1];
+    std::size_t deg = 0;
+    for (std::size_t i = m - 1; i-- > 0;) {
+      out[deg + 1] = out[deg];
+      for (std::size_t c = deg; c >= 1; --c)
+        out[c] = out[c - 1] - xs_[i] * out[c];
+      out[0] = a[i] - xs_[i] * out[0];
+      ++deg;
+    }
+    return out;
+  }
+
+  std::vector<Fp> xs_;
+  std::vector<Fp> g0_;
+  std::vector<Fp> inv_dens_;
+};
+
+/// The decoder itself: exact head-0 check (one barycentric row per
+/// redundant point), else per-word Gao. Precompute is built once, like
+/// the cached decoder it measures against.
+class PerWordGaoDecoder {
+ public:
+  PerWordGaoDecoder(std::vector<Fp> xs, std::size_t t)
+      : t_(t),
+        max_errors_((xs.size() - t - 1) / 2),
+        interp_(std::vector<Fp>(
+            xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(t + 1))),
+        gao_(xs) {
+    for (std::size_t i = t + 1; i < xs.size(); ++i)
+      check_rows_.push_back(interp_.row_at(xs[i]));
+  }
+
+  std::optional<std::vector<Fp>> reconstruct(
+      const std::vector<VectorShare>& shares) const {
+    const std::size_t m = shares.size(), k = t_ + 1;
+    const std::size_t words = shares.front().ys.size();
+    std::vector<Fp> secret(words), ys(m), head(k);
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::size_t i = 0; i < m; ++i) ys[i] = shares[i].ys[w];
+      std::copy(ys.begin(), ys.begin() + static_cast<std::ptrdiff_t>(k),
+                head.begin());
+      bool clean = true;
+      for (std::size_t i = 0; clean && i < check_rows_.size(); ++i)
+        clean = BarycentricInterpolator::eval_row(check_rows_[i], head) ==
+                ys[k + i];
+      if (clean) {
+        secret[w] = interp_.eval_at_zero(head);
+        continue;
+      }
+      if (max_errors_ == 0) return std::nullopt;
+      auto p = gao_.decode(ys, t_, max_errors_);
+      if (!p) return std::nullopt;
+      secret[w] = (*p)[0];
+    }
+    return secret;
+  }
+
+ private:
+  std::size_t t_, max_errors_;
+  BarycentricInterpolator interp_;
+  std::vector<std::vector<Fp>> check_rows_;
+  GaoContext gao_;
+};
 
 /// Seed ShamirScheme::reconstruct: fresh Lagrange interpolation per word.
 inline std::vector<Fp> shamir_reconstruct(

@@ -1,5 +1,7 @@
 #include "common/field.h"
 
+#include <algorithm>
+
 #include "common/simd.h"
 
 namespace ba {
@@ -50,18 +52,26 @@ Fp lagrange_at_zero(const std::vector<Fp>& xs, const std::vector<Fp>& ys) {
 
 std::optional<std::vector<Fp>> poly_divide_exact(std::vector<Fp> num,
                                                  const std::vector<Fp>& den) {
+  std::vector<Fp> quot;
+  if (!poly_divide_exact(num, den, quot)) return std::nullopt;
+  return quot;
+}
+
+bool poly_divide_exact(std::vector<Fp>& num, const std::vector<Fp>& den,
+                       std::vector<Fp>& quot) {
   // Trim leading zeros of den.
   std::size_t dd = den.size();
   while (dd > 0 && den[dd - 1].is_zero()) --dd;
-  if (dd == 0) return std::nullopt;  // division by zero polynomial
+  if (dd == 0) return false;  // division by zero polynomial
   if (num.size() < dd) {
     // num must be the zero polynomial for exactness.
     for (const Fp& c : num)
-      if (!c.is_zero()) return std::nullopt;
-    return std::vector<Fp>{Fp(0)};
+      if (!c.is_zero()) return false;
+    quot.assign(1, Fp(0));
+    return true;
   }
   const Fp lead_inv = den[dd - 1].inverse();
-  std::vector<Fp> quot(num.size() - dd + 1, Fp(0));
+  quot.assign(num.size() - dd + 1, Fp(0));
   for (std::size_t qi = quot.size(); qi-- > 0;) {
     const Fp coef = num[qi + dd - 1] * lead_inv;
     quot[qi] = coef;
@@ -69,8 +79,8 @@ std::optional<std::vector<Fp>> poly_divide_exact(std::vector<Fp> num,
     simd::fnma_mod_p(&num[qi], den.data(), coef, dd);
   }
   for (const Fp& c : num)
-    if (!c.is_zero()) return std::nullopt;  // non-zero remainder
-  return quot;
+    if (!c.is_zero()) return false;  // non-zero remainder
+  return true;
 }
 
 void batch_inverse(Fp* v, std::size_t n) {
@@ -169,23 +179,39 @@ Fp BarycentricInterpolator::eval_at_zero(const std::vector<Fp>& ys) const {
 }
 
 std::vector<Fp> BarycentricInterpolator::row_at(Fp z) const {
+  return rows_at({z});
+}
+
+std::vector<Fp> BarycentricInterpolator::rows_at(
+    const std::vector<Fp>& zs) const {
   const std::size_t m = xs_.size();
-  std::vector<Fp> row(m, Fp(0));
-  std::vector<Fp> diffs(m);
-  std::size_t node_at = m;
-  for (std::size_t i = 0; i < m; ++i) {
-    diffs[i] = z - xs_[i];
-    if (diffs[i].is_zero()) node_at = i;
+  std::vector<Fp> rows(zs.size() * m, Fp(0));
+  // Every (z - x_i) of every row goes through one batch_inverse; a row
+  // whose z hits a node is the indicator row and keeps placeholder ones
+  // there (nothing to invert).
+  std::vector<Fp> diffs(zs.size() * m);
+  std::vector<Fp> ells(zs.size(), Fp(1));  // ell(z) = prod_i (z - x_i)
+  std::vector<std::size_t> node_at(zs.size(), m);
+  for (std::size_t r = 0; r < zs.size(); ++r) {
+    Fp* d = &diffs[r * m];
+    for (std::size_t i = 0; i < m; ++i) {
+      d[i] = zs[r] - xs_[i];
+      if (d[i].is_zero()) node_at[r] = i;
+      ells[r] *= d[i];
+    }
+    if (node_at[r] != m) std::fill(d, d + m, Fp(1));
   }
-  if (node_at != m) {
-    row[node_at] = Fp(1);
-    return row;
-  }
-  Fp ell(1);  // ell(z) = prod_i (z - x_i)
-  for (const Fp& d : diffs) ell *= d;
   batch_inverse(diffs);
-  for (std::size_t i = 0; i < m; ++i) row[i] = ell * w_[i] * diffs[i];
-  return row;
+  for (std::size_t r = 0; r < zs.size(); ++r) {
+    Fp* row = &rows[r * m];
+    if (node_at[r] != m) {
+      row[node_at[r]] = Fp(1);
+      continue;
+    }
+    for (std::size_t i = 0; i < m; ++i)
+      row[i] = ells[r] * w_[i] * diffs[r * m + i];
+  }
+  return rows;
 }
 
 Fp BarycentricInterpolator::eval_row(const std::vector<Fp>& row,

@@ -95,6 +95,12 @@ Fp lagrange_at_zero(const std::vector<Fp>& xs, const std::vector<Fp>& ys);
 std::optional<std::vector<Fp>> poly_divide_exact(std::vector<Fp> num,
                                                  const std::vector<Fp>& den);
 
+/// In-place form of poly_divide_exact for reused buffers: divides num
+/// (clobbered) by den, writes the quotient into `quot` and returns true
+/// iff the division is exact. Allocates nothing once `quot` has capacity.
+bool poly_divide_exact(std::vector<Fp>& num, const std::vector<Fp>& den,
+                       std::vector<Fp>& quot);
+
 /// Montgomery batch inversion: replaces every v[i] with v[i]^-1 using
 /// 3(n-1) multiplications and a single Fermat exponentiation (instead of
 /// one ~90-multiplication exponentiation per element). Requires all
@@ -136,6 +142,10 @@ class BarycentricInterpolator {
   /// One batched inversion; reuse the row to verify many word-vectors
   /// against the same redundant point. Handles z equal to a node exactly.
   std::vector<Fp> row_at(Fp z) const;
+
+  /// row_at for many points at once, row-major zs.size() x size(), with
+  /// one batched inversion for every row.
+  std::vector<Fp> rows_at(const std::vector<Fp>& zs) const;
 
   /// Dot product helper: p(z) given a precomputed row from row_at.
   static Fp eval_row(const std::vector<Fp>& row, const std::vector<Fp>& ys);

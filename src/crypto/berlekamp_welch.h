@@ -99,10 +99,11 @@ class BatchedBerlekampWelch {
 
 /// Robust word-vector reconstruction with the largest error budget the
 /// share count allows — the single entry point over the tiered decoder
-/// (crypto/scheme_cache.h): a clean word costs O(m * (m - t))
-/// multiplications and no inversions against a precomputed barycentric
-/// fast path shared by all words; a damaged word is decoded by Gao's
-/// extended-Euclid algorithm (O(m^2), crypto/gao.h). Share x values must
+/// (crypto/scheme_cache.h): a word costs O(m * (m - t)) multiplications
+/// and no inversions per head tried against precomputed barycentric rows
+/// (head 0 settles clean words, disjoint heads most damaged ones), and a
+/// word no head explains is decoded by Gao's extended-Euclid algorithm
+/// (O(m^2), crypto/gao.h). Share x values must
 /// be distinct (BA_REQUIRE). Returns nullopt if any word fails to decode.
 std::optional<std::vector<Fp>> robust_reconstruct(
     const std::vector<VectorShare>& shares, std::size_t privacy_threshold);

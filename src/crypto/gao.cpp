@@ -1,5 +1,7 @@
 #include "crypto/gao.h"
 
+#include <algorithm>
+
 #include "common/simd.h"
 
 namespace ba {
@@ -16,21 +18,33 @@ std::size_t poly_deg(const std::vector<Fp>& p) {
   return kZeroPoly;
 }
 
-/// In-place remainder: num <- num mod den, returning the quotient.
-/// Requires den non-zero.
-std::vector<Fp> poly_divmod(std::vector<Fp>& num, const std::vector<Fp>& den,
-                            std::size_t den_deg) {
-  const std::size_t nd = poly_deg(num);
-  if (nd == kZeroPoly || nd < den_deg) return {};
-  const Fp lead_inv = den[den_deg].inverse();
-  std::vector<Fp> quot(nd - den_deg + 1, Fp(0));
-  for (std::size_t qi = quot.size(); qi-- > 0;) {
-    const Fp coef = num[qi + den_deg] * lead_inv;
+/// One inversion-free extended-Euclid step. Pseudo-divides r_prev by
+/// r_cur (degree dc): every quotient step scales the dividend by
+/// lead(r_cur) instead of dividing by it, leaving
+/// r_prev <- lambda * r_prev - Q * r_cur for one nonzero lambda. v_prev
+/// gets the same scaling and quotient steps, v_prev <- lambda * v_prev -
+/// Q * v_cur, so the pair is the textbook Euclid pair times lambda: the
+/// degrees (and with them the stop rule) and r / v are unchanged.
+void euclid_step(std::vector<Fp>& r_prev, const std::vector<Fp>& r_cur,
+                 std::size_t dc, std::vector<Fp>& v_prev,
+                 const std::vector<Fp>& v_cur) {
+  const std::size_t nd = poly_deg(r_prev);
+  if (nd == kZeroPoly || nd < dc) return;
+  const Fp lead = r_cur[dc];
+  const std::size_t vd = poly_deg(v_cur);
+  const std::size_t quot_len = nd - dc + 1;
+  if (vd != kZeroPoly)
+    v_prev.resize(std::max(v_prev.size(), quot_len + vd), Fp(0));
+  for (std::size_t qi = quot_len; qi-- > 0;) {
+    const Fp coef = r_prev[qi + dc];
     if (coef.is_zero()) continue;
-    quot[qi] = coef;
-    simd::fnma_mod_p(&num[qi], den.data(), coef, den_deg + 1);
+    // Coefficients above qi + dc are already eliminated.
+    for (std::size_t c = 0; c <= qi + dc; ++c) r_prev[c] *= lead;
+    simd::fnma_mod_p(&r_prev[qi], r_cur.data(), coef, dc + 1);
+    for (Fp& c : v_prev) c *= lead;
+    if (vd != kZeroPoly)
+      simd::fnma_mod_p(&v_prev[qi], v_cur.data(), coef, vd + 1);
   }
-  return quot;
 }
 
 }  // namespace
@@ -62,23 +76,28 @@ GaoContext::GaoContext(std::vector<Fp> xs) : xs_(std::move(xs)) {
   batch_inverse(inv_dens_);
 }
 
-std::vector<Fp> GaoContext::interpolate_all(const std::vector<Fp>& ys) const {
+void GaoContext::interpolate_all(const std::vector<Fp>& ys,
+                                 Scratch& scratch) const {
   const std::size_t m = xs_.size();
-  std::vector<Fp> a = ys;
+  std::vector<Fp>& a = scratch.newton;
+  std::vector<Fp>& prev = scratch.prev;
+  a.assign(ys.begin(), ys.end());
+  prev.resize(m);
   // Each level reads the previous level's a[i] and a[i-1]: snapshot the
   // level, then the whole sweep is one elementwise (a[i] - a[i-1]) * inv
   // kernel (new a[i] must not be visible to the a[i+1] update, which the
   // snapshot guarantees just like the seed's descending-i loop did).
-  std::vector<Fp> prev(m);
   std::size_t di = 0;
   for (std::size_t k = 1; k < m; ++k) {
-    prev = a;
+    std::copy(a.begin() + static_cast<std::ptrdiff_t>(k - 1), a.end(),
+              prev.begin() + static_cast<std::ptrdiff_t>(k - 1));
     simd::sub_mul_mod_p(&a[k], &prev[k], &prev[k - 1], &inv_dens_[di],
                         m - k);
     di += m - k;
   }
   // Expand Newton form to monomial coefficients.
-  std::vector<Fp> out(m, Fp(0));
+  std::vector<Fp>& out = scratch.r_cur;
+  out.assign(m, Fp(0));
   out[0] = a[m - 1];
   std::size_t deg = 0;
   for (std::size_t i = m - 1; i-- > 0;) {
@@ -88,28 +107,40 @@ std::vector<Fp> GaoContext::interpolate_all(const std::vector<Fp>& ys) const {
     out[0] = a[i] - xs_[i] * out[0];
     ++deg;
   }
-  return out;
 }
 
 std::optional<std::vector<Fp>> GaoContext::decode(
     const std::vector<Fp>& ys, std::size_t degree,
     std::size_t max_errors) const {
+  Scratch scratch;
+  if (!decode(ys, degree, max_errors, scratch)) return std::nullopt;
+  return std::move(scratch.p);
+}
+
+bool GaoContext::decode(const std::vector<Fp>& ys, std::size_t degree,
+                        std::size_t max_errors, Scratch& scratch) const {
   const std::size_t m = xs_.size();
   BA_REQUIRE(ys.size() == m, "point vectors must pair up");
   BA_REQUIRE(m >= degree + 1 + 2 * max_errors,
              "not enough points for this error budget");
 
-  std::vector<Fp> p;  // decoded candidate, constant term first
-  std::vector<Fp> g1 = interpolate_all(ys);
-  if (poly_deg(g1) == kZeroPoly || poly_deg(g1) <= degree) {
+  std::vector<Fp>& p = scratch.p;  // decoded candidate, constant term first
+  interpolate_all(ys, scratch);    // g1 -> scratch.r_cur
+  const std::size_t g1_deg = poly_deg(scratch.r_cur);
+  if (g1_deg == kZeroPoly || g1_deg <= degree) {
     // The interpolant already has low degree: zero errors.
-    p = std::move(g1);
+    std::swap(p, scratch.r_cur);
   } else {
     // Partial extended Euclid on (g0, g1), tracking only the v Bezout
     // coefficient; stop at the first remainder r with
     // deg r < (m + degree + 1) / 2.
-    std::vector<Fp> r_prev = g0_, r_cur = std::move(g1);
-    std::vector<Fp> v_prev{Fp(0)}, v_cur{Fp(1)};
+    std::vector<Fp>& r_prev = scratch.r_prev;
+    std::vector<Fp>& r_cur = scratch.r_cur;
+    std::vector<Fp>& v_prev = scratch.v_prev;
+    std::vector<Fp>& v_cur = scratch.v_cur;
+    r_prev.assign(g0_.begin(), g0_.end());
+    v_prev.assign(1, Fp(0));
+    v_cur.assign(1, Fp(1));
     bool zero_message = false;
     for (;;) {
       const std::size_t dc = poly_deg(r_cur);
@@ -121,44 +152,34 @@ std::optional<std::vector<Fp>> GaoContext::decode(
         break;
       }
       if (2 * dc < m + degree + 1) break;
-      std::vector<Fp> quot = poly_divmod(r_prev, r_cur, dc);
-      // v_next = v_prev - quot * v_cur, accumulated into v_prev.
-      const std::size_t vd = poly_deg(v_cur);
-      if (vd != kZeroPoly && !quot.empty()) {
-        v_prev.resize(std::max(v_prev.size(), quot.size() + vd + 1), Fp(0));
-        for (std::size_t qi = 0; qi < quot.size(); ++qi) {
-          if (quot[qi].is_zero()) continue;
-          simd::fnma_mod_p(&v_prev[qi], v_cur.data(), quot[qi], vd + 1);
-        }
-      }
-      // poly_divmod reduced r_prev in place to the remainder; rotate so
-      // (r_prev, r_cur) = (old r_cur, remainder), and likewise for v.
+      // euclid_step reduced r_prev in place to the (scaled) remainder;
+      // rotate so (r_prev, r_cur) = (old r_cur, remainder), and
+      // likewise for v.
+      euclid_step(r_prev, r_cur, dc, v_prev, v_cur);
       std::swap(r_prev, r_cur);
       std::swap(v_prev, v_cur);
     }
     if (zero_message) {
       p.assign(1, Fp(0));
-    } else {
-      auto f = poly_divide_exact(std::move(r_cur), v_cur);
-      if (!f) return std::nullopt;  // v does not divide r: too many errors
-      p = std::move(*f);
+    } else if (!poly_divide_exact(r_cur, v_cur, p)) {
+      return false;  // v does not divide r: too many errors
     }
   }
 
   const std::size_t pd = poly_deg(p);
-  if (pd != kZeroPoly && pd > degree) return std::nullopt;
+  if (pd != kZeroPoly && pd > degree) return false;
   if (p.size() > degree + 1) p.resize(degree + 1);
   // Final verification, identical to Berlekamp–Welch's: at most
   // max_errors disagreements. Horner runs point-parallel — one lane per
   // evaluation point, one step per coefficient.
-  std::vector<Fp> evals(m, Fp(0));
+  std::vector<Fp>& evals = scratch.evals;
+  evals.assign(m, Fp(0));
   for (std::size_t c = p.size(); c-- > 0;)
     simd::horner_step_mod_p(evals.data(), xs_.data(), p[c], m);
   std::size_t errors = 0;
   for (std::size_t i = 0; i < m; ++i)
     if (evals[i] != ys[i]) ++errors;
-  if (errors > max_errors) return std::nullopt;
-  return p;
+  return errors <= max_errors;
 }
 
 std::optional<std::vector<Fp>> gao_decode(const std::vector<Fp>& xs,

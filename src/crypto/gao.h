@@ -14,7 +14,7 @@
 // and the expensive per-point-set work — g0 and the inverted Newton
 // divided-difference denominators for g1 — depends only on xs, so a
 // GaoContext amortizes it across every word sharing the point set (the
-// word-vector share pipeline's damaged-word case).
+// share pipeline's fallback for damaged words no head explains).
 #pragma once
 
 #include <optional>
@@ -28,9 +28,20 @@ namespace ba {
 /// the inverted Newton denominators. Requires distinct xs (throws
 /// std::logic_error otherwise). Reusable across any number of ys vectors.
 /// Immutable after construction: decode() keeps its working polynomials
-/// on the stack, so one context may serve concurrent pool workers.
+/// in a caller-owned Scratch, so one context may serve concurrent pool
+/// workers that each own their scratch.
 class GaoContext {
  public:
+  /// Working polynomials of one decode. Reused across words, a decode
+  /// allocates nothing once the buffers have reached the point set's size.
+  struct Scratch {
+    std::vector<Fp> newton, prev;   ///< divided-difference levels
+    std::vector<Fp> r_prev, r_cur;  ///< Euclid remainders
+    std::vector<Fp> v_prev, v_cur;  ///< their v Bezout coefficients
+    std::vector<Fp> evals;          ///< verification sweep
+    std::vector<Fp> p;              ///< decoded polynomial on success
+  };
+
   explicit GaoContext(std::vector<Fp> xs);
 
   const std::vector<Fp>& points() const { return xs_; }
@@ -44,10 +55,18 @@ class GaoContext {
                                         std::size_t degree,
                                         std::size_t max_errors) const;
 
+  /// Scratch-explicit decode: on success the coefficients are left in
+  /// scratch.p and the call returns true; same contract otherwise. The
+  /// Euclid run uses pseudo-division, so the only field inversion per
+  /// word is the final exact division f = r / v.
+  bool decode(const std::vector<Fp>& ys, std::size_t degree,
+              std::size_t max_errors, Scratch& scratch) const;
+
  private:
   /// Newton interpolation through all points with the cached inverted
-  /// denominators: O(m^2) multiplications, zero inversions.
-  std::vector<Fp> interpolate_all(const std::vector<Fp>& ys) const;
+  /// denominators into scratch.r_cur: O(m^2) multiplications, zero
+  /// inversions.
+  void interpolate_all(const std::vector<Fp>& ys, Scratch& scratch) const;
 
   std::vector<Fp> xs_;
   std::vector<Fp> g0_;        ///< prod_i (x - x_i), constant term first

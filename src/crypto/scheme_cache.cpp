@@ -116,11 +116,20 @@ RobustDecoder::RobustDecoder(std::vector<Fp> xs,
     for (std::size_t j = i + 1; j < m; ++j)
       BA_REQUIRE(xs_[i] != xs_[j], "decoder points must be distinct");
   max_errors_ = (m - t_ - 1) / 2;
+  head0_ = make_head(0);
+}
+
+RobustDecoder::Head RobustDecoder::make_head(std::size_t begin) const {
+  const std::size_t m = xs_.size();
   const std::size_t k = t_ + 1;
-  interp_.emplace(std::vector<Fp>(xs_.begin(), xs_.begin() + k));
-  check_rows_.reserve(m - k);
-  for (std::size_t i = k; i < m; ++i)
-    check_rows_.push_back(interp_->row_at(xs_[i]));
+  const auto first = xs_.begin() + static_cast<std::ptrdiff_t>(begin);
+  const BarycentricInterpolator interp(
+      std::vector<Fp>(first, first + static_cast<std::ptrdiff_t>(k)));
+  std::vector<Fp> others;
+  others.reserve(m - k);
+  for (std::size_t i = 0; i < m; ++i)
+    if (i < begin || i >= begin + k) others.push_back(xs_[i]);
+  return Head{begin, interp.zero_row(), interp.rows_at(others)};
 }
 
 std::uint64_t RobustDecoder::precompute_fingerprint() const {
@@ -128,23 +137,39 @@ std::uint64_t RobustDecoder::precompute_fingerprint() const {
   d.mix(t_);
   d.mix(max_errors_);
   for (const Fp& x : xs_) d.mix(x.value());
-  for (const auto& row : check_rows_)
-    for (const Fp& v : row) d.mix(v.value());
+  for (const Fp& v : head0_.zero_row) d.mix(v.value());
+  for (const Fp& v : head0_.rows) d.mix(v.value());
   return d.h;
 }
 
-const GaoContext& RobustDecoder::gao() const {
-  // First damaged word pays the setup; call_once makes the handoff safe
-  // when workers race here, and the context is immutable afterwards.
-  std::call_once(gao_once_, [this] { gao_.emplace(xs_); });
-  return *gao_;
+const RobustDecoder::DamagedPath& RobustDecoder::damaged() const {
+  // The first damaged word pays the setup; call_once makes the handoff
+  // safe when workers race here, and the path is immutable afterwards.
+  std::call_once(damaged_once_, [this] {
+    const std::size_t k = t_ + 1;
+    std::vector<Head> heads;
+    for (std::size_t begin = k; begin + k <= xs_.size(); begin += k)
+      heads.push_back(make_head(begin));
+    damaged_.emplace(DamagedPath{std::move(heads), GaoContext(xs_)});
+  });
+  return *damaged_;
 }
 
-std::optional<Fp> RobustDecoder::decode_word(Scratch& scratch) const {
-  if (max_errors_ == 0) return std::nullopt;
-  const auto p = gao().decode(scratch.ys, t_, max_errors_);
-  if (!p) return std::nullopt;
-  return (*p)[0];
+bool RobustDecoder::try_head(const Head& head, const Fp* ys,
+                             Fp& secret) const {
+  const std::size_t m = xs_.size();
+  const std::size_t k = t_ + 1;
+  const Fp* block = ys + head.begin;
+  std::size_t misses = 0;
+  for (std::size_t r = 0; r + k < m; ++r) {
+    const std::size_t pos = r < head.begin ? r : r + k;
+    const Fp* row = &head.rows[r * k];
+    if (Fp(simd::dot_mod_p(row, block, k, 0)) != ys[pos] &&
+        ++misses > max_errors_)
+      return false;
+  }
+  secret = Fp(simd::dot_mod_p(head.zero_row.data(), block, k, 0));
+  return true;
 }
 
 std::optional<std::vector<Fp>> RobustDecoder::reconstruct(
@@ -172,28 +197,23 @@ bool RobustDecoder::reconstruct_into(const FpSpan* shares, std::size_t count,
                                      Scratch& scratch) const {
   const std::size_t m = xs_.size();
   BA_REQUIRE(count == m, "share count must match the point set");
-  const std::size_t k = t_ + 1;
   for (std::size_t i = 0; i < m; ++i)
     BA_REQUIRE(shares[i].size() == words, "ragged share vectors");
-  scratch.ys.resize(m);
-  scratch.head.resize(k);
+  std::vector<Fp>& ys = scratch.ys;
+  ys.resize(m);
   for (std::size_t w = 0; w < words; ++w) {
-    for (std::size_t i = 0; i < m; ++i) scratch.ys[i] = shares[i][w];
-    std::copy(scratch.ys.begin(),
-              scratch.ys.begin() + static_cast<std::ptrdiff_t>(k),
-              scratch.head.begin());
-    bool clean = true;
-    for (std::size_t i = 0; clean && i < check_rows_.size(); ++i)
-      clean = BarycentricInterpolator::eval_row(check_rows_[i],
-                                                scratch.head) ==
-              scratch.ys[k + i];
-    if (clean) {
-      out[w] = interp_->eval_at_zero(scratch.head);
+    for (std::size_t i = 0; i < m; ++i) ys[i] = shares[i][w];
+    if (try_head(head0_, ys.data(), out[w])) continue;
+    // With no error budget a word head 0 rejects is not a codeword.
+    if (max_errors_ == 0) return false;
+    const DamagedPath& path = damaged();
+    const auto explains = [&](const Head& head) {
+      return try_head(head, ys.data(), out[w]);
+    };
+    if (std::any_of(path.heads.begin(), path.heads.end(), explains))
       continue;
-    }
-    auto value = decode_word(scratch);
-    if (!value) return false;
-    out[w] = *value;
+    if (!path.gao.decode(ys, t_, max_errors_, scratch.gao)) return false;
+    out[w] = scratch.gao.p[0];
   }
   return true;
 }

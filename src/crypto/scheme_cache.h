@@ -16,11 +16,29 @@
 //    1..t, exactly like ShamirScheme::deal — cached dealing is
 //    byte-identical to the seed path for the same Rng state.
 //
-//  * RobustDecoder, keyed by (point set, t): the no-error fast path
-//    precompute (BarycentricInterpolator through the first t+1 points plus
-//    one verification row per redundant point) and a lazily built
-//    GaoContext for damaged words. robust_reconstruct() in
-//    berlekamp_welch.h is the uncached entry point over the same code.
+//  * RobustDecoder, keyed by (point set, t): decodes each word by head
+//    search. A head is a block of t+1 consecutive share positions; its
+//    interpolant (degree <= t) is evaluated at every other position
+//    through precomputed Lagrange rows, and the head explains the word
+//    when at most max_errors = (m - t - 1) / 2 of those values disagree
+//    (the count stops early once it passes the budget). Head 0 — the
+//    first t+1 positions — is built eagerly and settles every clean word
+//    and every word whose errors all lie outside it. The other
+//    floor(m / (t+1)) - 1 disjoint heads are tried next; with e errors
+//    and more than e heads one head is error-free. Only a word no head
+//    explains goes to Gao decoding, which includes every word beyond the
+//    budget, so failures are reported exactly as before. The alternate
+//    heads (rows batch-inverted per head) and the GaoContext are built
+//    together, lazily, on the decoder's first damaged word: most
+//    decoders never see one.
+//
+//    Head order cannot change the answer. An accepted interpolant has
+//    degree <= t and differs from the word in at most max_errors places,
+//    and 2 * max_errors + t + 1 <= m: two such polynomials would agree
+//    on at least t+1 points and so coincide. It is therefore the unique
+//    codeword within the budget — the polynomial Gao returns.
+//    robust_reconstruct() in berlekamp_welch.h is the uncached entry
+//    point over the same code.
 //
 //  * SchemeCache: owns both maps. Entries are allocated once and have
 //    stable addresses; a ShareFlow holds one cache for its lifetime, so
@@ -28,12 +46,13 @@
 //
 // Threading (the parallel round engine, common/pool.h): precompute and
 // per-call scratch are split explicitly. Everything computed at
-// construction — dealing matrices, barycentric rows, Gao point-set
-// contexts — is immutable afterwards (asserted via
-// precompute_fingerprint() in the tests) and safe to share read-only
-// across workers. Per-call scratch is the caller's: the deal_into /
-// reconstruct overloads taking an explicit Scratch are const and
-// thread-safe when each worker owns its Scratch. The scratch-less
+// construction — dealing matrices, head 0's barycentric rows — is
+// immutable afterwards (asserted via precompute_fingerprint() in the
+// tests), and so is a decoder's damaged-word path once its call_once
+// has built it: all of it is safe to share read-only across workers.
+// Per-call scratch is the caller's: the deal_into / reconstruct
+// overloads taking an explicit Scratch are const and thread-safe when
+// each worker owns its Scratch. The scratch-less
 // convenience overloads fall back to one internal buffer and stay
 // single-threaded.
 //
@@ -128,17 +147,18 @@ class CachedScheme {
   mutable DealScratch scratch_;  ///< backs the scratch-less overload
 };
 
-/// Robust word-vector decoding over one fixed point set: the shared
-/// no-error fast path plus Gao decoding for damaged words. Point order
-/// matters (shares must be passed in the same order as `xs`).
+/// Robust word-vector decoding over one fixed point set by head search
+/// (see the header comment), with Gao decoding as the fallback for words
+/// no head explains. Point order matters (shares must be passed in the
+/// same order as `xs`).
 class RobustDecoder {
  public:
   /// Per-word value scratch; own one per worker for concurrent decoding
   /// against a shared decoder.
   struct Scratch {
-    std::vector<Fp> ys;       ///< all m values of the current word
-    std::vector<Fp> head;     ///< first t+1 values
+    std::vector<Fp> ys;         ///< all m values of the current word
     std::vector<FpSpan> spans;  ///< share views for the vector overload
+    GaoContext::Scratch gao;    ///< fallback decoder's working polynomials
   };
 
   /// `xs` are the shares' evaluation points in share order, pairwise
@@ -157,9 +177,9 @@ class RobustDecoder {
       const std::vector<VectorShare>& shares) const;
 
   /// Scratch-explicit reconstruction: besides `scratch`, only the
-  /// immutable precompute is touched (the lazily built Gao context is
-  /// guarded by std::call_once and immutable once built), so concurrent
-  /// calls with distinct scratches are safe.
+  /// immutable precompute is touched (the lazily built damaged-word path
+  /// is guarded by std::call_once and immutable once built), so
+  /// concurrent calls with distinct scratches are safe.
   std::optional<std::vector<Fp>> reconstruct(
       const std::vector<VectorShare>& shares, Scratch& scratch) const;
 
@@ -172,22 +192,38 @@ class RobustDecoder {
   bool reconstruct_into(const FpSpan* shares, std::size_t count,
                         std::size_t words, Fp* out, Scratch& scratch) const;
 
-  /// Order-independent digest of the precompute (points and fast-path
-  /// rows). Stable for the decoder's lifetime; tests assert no call path
-  /// mutates it.
+  /// Order-independent digest of the eager precompute (points and head
+  /// 0's rows). Stable for the decoder's lifetime; tests assert no call
+  /// path mutates it.
   std::uint64_t precompute_fingerprint() const;
 
  private:
-  std::optional<Fp> decode_word(Scratch& scratch) const;
-  const GaoContext& gao() const;  ///< built on first damaged word
+  /// A block of t+1 consecutive share positions and the Lagrange rows of
+  /// its interpolant: at zero (the secret) and at every position outside
+  /// the block, in ascending position order.
+  struct Head {
+    std::size_t begin = 0;      ///< the block is [begin, begin + t + 1)
+    std::vector<Fp> zero_row;   ///< t+1 entries
+    std::vector<Fp> rows;       ///< row-major (m - t - 1) x (t + 1)
+  };
+  /// What only damaged words need, built together on the first one.
+  struct DamagedPath {
+    std::vector<Head> heads;  ///< the disjoint blocks after head 0
+    GaoContext gao;           ///< fallback for words no head explains
+  };
+
+  Head make_head(std::size_t begin) const;
+  /// True when the head's interpolant disagrees with `ys` in at most
+  /// max_errors positions; then writes its value at zero to `secret`.
+  bool try_head(const Head& head, const Fp* ys, Fp& secret) const;
+  const DamagedPath& damaged() const;  ///< built on first damaged word
 
   std::vector<Fp> xs_;
   std::size_t t_;
   std::size_t max_errors_;
-  std::optional<BarycentricInterpolator> interp_;  ///< through first t+1
-  std::vector<std::vector<Fp>> check_rows_;  ///< one per redundant point
-  mutable std::once_flag gao_once_;          ///< one-shot Gao construction
-  mutable std::optional<GaoContext> gao_;    ///< immutable once built
+  Head head0_;                                 ///< eager: the first t+1
+  mutable std::once_flag damaged_once_;        ///< one-shot construction
+  mutable std::optional<DamagedPath> damaged_;  ///< immutable once built
   mutable Scratch scratch_;  ///< backs the scratch-less overload
 };
 

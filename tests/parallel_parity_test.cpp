@@ -89,6 +89,25 @@ TEST(ParallelParity, Quickstart) {
                 0xcc0336754bc0c7c2ULL);
 }
 
+TEST(ParallelParity, QuickstartDecoderHeavySize) {
+  // quickstart at its example size n = 128, where robust decoding of
+  // damaged share words dominates the run: under the lying adversary
+  // most decoded words are damaged, under crashes almost none are. Both
+  // digests must hold at 1 and 4 workers, whichever decoder path
+  // settles each word.
+  const ScenarioSpec lying = ScenarioRegistry::get("quickstart").with_n(128);
+  const ScenarioSpec crash =
+      lying.with_adversary(sim::AdversaryKind::kCrash);
+  for (std::size_t workers : {1u, 4u}) {
+    Pool::set_threads(workers);
+    EXPECT_EQ(sim::run_scenario(lying).fingerprint, 0x34195f488c14c1b7ULL)
+        << "lying, " << workers << " workers";
+    EXPECT_EQ(sim::run_scenario(crash).fingerprint, 0xca304f2d614797f9ULL)
+        << "crash, " << workers << " workers";
+  }
+  Pool::set_threads(0);
+}
+
 TEST(ParallelParity, RandomnessBeacon) {
   // examples/randomness_beacon.cpp at test scale: the released §3.5
   // sequence views are per-processor words — any divergent view flips

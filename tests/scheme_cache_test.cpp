@@ -4,6 +4,8 @@
 // every error pattern inside the unique-decoding budget.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/pool.h"
 #include "crypto/berlekamp_welch.h"
 #include "crypto/gao.h"
@@ -390,6 +392,173 @@ TEST(RobustDecoder, PermutedPointSetStillDecodes) {
   auto rec = robust_reconstruct(shares, 3);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(*rec, secret);
+}
+
+// ------------------------------------------------- head-search decoding --
+
+/// The decoder before head search: every word through Gao, p[0] per word,
+/// and failure at the first word Gao rejects.
+bool per_word_gao(const std::vector<Fp>& xs, std::size_t t,
+                  const std::vector<std::vector<Fp>>& words,
+                  std::vector<Fp>& out) {
+  const GaoContext gao(xs);
+  const std::size_t max_errors = (xs.size() - t - 1) / 2;
+  out.clear();
+  for (const auto& ys : words) {
+    auto p = gao.decode(ys, t, max_errors);
+    if (!p) return false;
+    out.push_back((*p)[0]);
+  }
+  return true;
+}
+
+/// Head search through reconstruct_into over word-major `words`.
+bool head_search(const RobustDecoder& dec,
+                 const std::vector<std::vector<Fp>>& words,
+                 std::vector<Fp>& out, RobustDecoder::Scratch& scratch) {
+  const std::size_t m = dec.points().size();
+  std::vector<std::vector<Fp>> share_major(m,
+                                           std::vector<Fp>(words.size()));
+  for (std::size_t w = 0; w < words.size(); ++w)
+    for (std::size_t i = 0; i < m; ++i) share_major[i][w] = words[w][i];
+  std::vector<FpSpan> spans(m);
+  for (std::size_t i = 0; i < m; ++i)
+    spans[i] = FpSpan{share_major[i].data(), words.size()};
+  out.assign(words.size(), Fp(0));
+  return dec.reconstruct_into(spans.data(), m, words.size(), out.data(),
+                              scratch);
+}
+
+/// Error positions for one word. Modes: 0 clean, 1 the call's fixed set,
+/// 2 inside head 0, 3 one per disjoint head, 4 a fresh random set.
+/// Weights run one past the budget so beyond-budget words occur.
+std::vector<std::size_t> error_positions(
+    Rng& rng, int mode, std::size_t m, std::size_t t,
+    const std::vector<std::size_t>& fixed) {
+  const std::size_t k = t + 1;
+  const std::size_t weight = rng.below((m - k) / 2 + 2);
+  std::vector<std::size_t> pos;
+  switch (mode) {
+    case 1:
+      return fixed;
+    case 2:
+      for (auto p : rng.sample_without_replacement(k, std::min(weight, k)))
+        pos.push_back(static_cast<std::size_t>(p));
+      return pos;
+    case 3:
+      for (std::size_t begin = 0; begin + k <= m && pos.size() < weight;
+           begin += k)
+        pos.push_back(begin + static_cast<std::size_t>(rng.below(k)));
+      return pos;
+    case 4:
+      for (auto p : rng.sample_without_replacement(m, std::min(weight, m)))
+        pos.push_back(static_cast<std::size_t>(p));
+      return pos;
+    default:
+      return pos;
+  }
+}
+
+TEST(RobustDecoder, HeadSearchMatchesPerWordGao) {
+  // Head search must return exactly what per-word Gao returned — the
+  // same secret words on success, and failure on the same calls — for
+  // every shape and error pattern: m from t+1 (no error budget) to 48,
+  // t from 0 to 12, errors fixed across a call, inside head 0, spread one
+  // per head, or fresh per word, beyond-budget words, zero codewords and
+  // all-clean calls.
+  Rng rng(2024);
+  std::size_t calls = 0, failed = 0, zero_budget = 0, damaged_words = 0;
+  std::vector<std::size_t> mode_calls(5, 0);
+  for (std::size_t set = 0; set < 600; ++set) {
+    const std::size_t t = rng.below(13);
+    const std::size_t m = t + 1 + rng.below(48 - t);
+    std::vector<Fp> xs;
+    while (xs.size() < m) {
+      const Fp x(rng.below(1u << 20));
+      if (std::find(xs.begin(), xs.end(), x) == xs.end()) xs.push_back(x);
+    }
+    const RobustDecoder dec(xs, t);
+    zero_budget += dec.max_errors() == 0 ? 1 : 0;
+    RobustDecoder::Scratch scratch;
+    for (int call = 0; call < 5; ++call) {
+      const int mode = static_cast<int>(rng.below(5));
+      ++mode_calls[mode];
+      std::vector<std::size_t> fixed;
+      for (auto p : rng.sample_without_replacement(
+               m, std::min<std::size_t>(rng.below(dec.max_errors() + 2), m)))
+        fixed.push_back(static_cast<std::size_t>(p));
+      const std::size_t num_words = 1 + rng.below(6);
+      std::vector<std::vector<Fp>> words(num_words);
+      for (auto& ys : words) {
+        std::vector<Fp> coeffs(t + 1);
+        const bool zero_word = rng.bernoulli(0.1);
+        for (auto& c : coeffs) c = zero_word ? Fp(0) : Fp(rng.next());
+        ys.resize(m);
+        for (std::size_t i = 0; i < m; ++i) ys[i] = poly_eval(coeffs, xs[i]);
+        const auto bad = error_positions(rng, mode, m, t, fixed);
+        for (auto b : bad) ys[b] += Fp(1 + rng.below(Fp::kP - 1));
+        damaged_words += bad.empty() ? 0 : 1;
+      }
+      std::vector<Fp> expected, got;
+      const bool ok_ref = per_word_gao(xs, t, words, expected);
+      const bool ok = head_search(dec, words, got, scratch);
+      ASSERT_EQ(ok, ok_ref) << "set " << set << " call " << call << " m=" << m
+                            << " t=" << t << " mode " << mode;
+      if (ok) EXPECT_EQ(got, expected) << "set " << set << " call " << call;
+      failed += ok ? 0 : 1;
+      ++calls;
+    }
+  }
+  // The sweep must have reached every region it claims to cover.
+  EXPECT_EQ(calls, 3000u);
+  EXPECT_GT(failed, 100u);
+  EXPECT_GT(zero_budget, 10u);
+  EXPECT_GT(damaged_words, 3000u);
+  for (std::size_t mode = 0; mode < mode_calls.size(); ++mode)
+    EXPECT_GT(mode_calls[mode], 400u) << "mode " << mode;
+}
+
+TEST(RobustDecoder, ConcurrentFirstDamagedWordMatchesSerial) {
+  // The alternate heads and the Gao context are built on a decoder's
+  // first damaged word. Eight pool workers reaching that word of a fresh
+  // shared decoder together must get exactly the serial results (the
+  // sanitizer jobs race the lazy build here).
+  const std::size_t kShares = 12, kT = 3, kWords = 4, kItems = 64;
+  std::vector<Fp> xs(kShares);
+  for (std::size_t i = 0; i < kShares; ++i) xs[i] = Fp(i + 1);
+  ShamirScheme scheme(kShares, kT);
+  std::vector<std::vector<VectorShare>> items(kItems);
+  for (std::size_t i = 0; i < kItems; ++i) {
+    Rng rng = Rng(77).fork(i);
+    items[i] = scheme.deal(random_secret(rng, kWords), rng);
+    // Errors inside head 0 (so the lazy path is needed), and on some
+    // items beyond the budget of 4 (so Gao runs and fails too).
+    const std::size_t errors = 1 + rng.below(i % 8 == 0 ? 6 : 4);
+    for (auto b : rng.sample_without_replacement(kShares, errors))
+      items[i][b].ys[rng.below(kWords)] += Fp(1);
+    items[i][rng.below(kT + 1)].ys[0] += Fp(1);
+  }
+  std::vector<std::optional<std::vector<Fp>>> serial(kItems);
+  {
+    const RobustDecoder dec(xs, kT);
+    RobustDecoder::Scratch scratch;
+    for (std::size_t i = 0; i < kItems; ++i)
+      serial[i] = dec.reconstruct(items[i], scratch);
+  }
+  for (int trial = 0; trial < 8; ++trial) {
+    const RobustDecoder dec(xs, kT);
+    const std::uint64_t fp = dec.precompute_fingerprint();
+    Pool::set_threads(8);
+    std::vector<std::optional<std::vector<Fp>>> stormed(kItems);
+    std::vector<RobustDecoder::Scratch> scratch(Pool::num_threads());
+    Pool::for_each(kItems, [&](std::size_t i, std::size_t worker) {
+      stormed[i] = dec.reconstruct(items[i], scratch[worker]);
+    });
+    Pool::set_threads(0);
+    for (std::size_t i = 0; i < kItems; ++i)
+      EXPECT_EQ(stormed[i], serial[i]) << "trial " << trial << " item " << i;
+    EXPECT_EQ(dec.precompute_fingerprint(), fp);
+  }
 }
 
 // ------------------------------------------- two-phase prewarm protocol --
