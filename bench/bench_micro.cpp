@@ -771,8 +771,8 @@ Comparison compare_send_open_tally() {
 }
 
 Comparison compare_expose_open_parallel() {
-  // The full batched exposure — sendDown plus the streaming sendOpen
-  // this PR moved onto the pool — at 1 worker vs min(8, hardware).
+  // Two full exposures — sendDown plus the pooled streaming sendOpen,
+  // back to back — at 1 worker vs min(8, hardware).
   // Unlike the older pool-vs-serial entries this one is written even on
   // a single-core host (where it degenerates to ~1.0x serial-vs-serial):
   // it is advisory either way, and keeping the row in the ledger gives
@@ -796,10 +796,13 @@ Comparison compare_expose_open_parallel() {
   a.node_idx = 9;
   while (a.level < tree.num_levels())
     flow.send_secret_up(a, 0, [](std::size_t) { return true; });
-  const std::vector<ShareFlow::ExposeJob> jobs = {{&a, 4, 8}, {&a, 8, 12}};
   const auto exposure = [&] {
-    std::vector<ShareFlow::Exposure> ex = flow.expose_batch(jobs);
-    benchmark::DoNotOptimize(ex);
+    for (std::size_t w0 : {std::size_t{4}, std::size_t{8}}) {
+      LeafViews lv = flow.send_down(a, w0, w0 + 4);
+      MemberViews mv = flow.send_open(a.level, a.node_idx, lv);
+      benchmark::DoNotOptimize(lv);
+      benchmark::DoNotOptimize(mv);
+    }
   };
   exposure();  // prime the arena slabs and decoder cache for both sides
   const unsigned hw = std::thread::hardware_concurrency();
@@ -809,8 +812,8 @@ Comparison compare_expose_open_parallel() {
   c.advisory = true;
   char params_buf[128];
   std::snprintf(params_buf, sizeof(params_buf),
-                "n=4096 jobs=2 words=4 workers=%zu host_cores=%u", workers,
-                hw);
+                "n=4096 exposures=2 words=4 workers=%zu host_cores=%u",
+                workers, hw);
   c.params = params_buf;
   Pool::set_threads(1);
   c.legacy_ns = time_ns_per_op(exposure);

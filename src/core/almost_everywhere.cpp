@@ -154,23 +154,17 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
       elections.push_back(std::move(e));
     }
 
-    // Phase A: expose every candidate's bin-choice word — the whole
-    // level goes through one expose_batch call (one arena epoch, one
-    // decoder pin, level-wide recombination fan-outs) instead of one
-    // sendDown + sendOpen per candidate.
+    // Phase A: expose every candidate's bin-choice word (one sendDown +
+    // sendOpen per candidate, in election order).
     std::vector<std::vector<MemberViews>> bin_views(node_count);
-    {
-      std::vector<ShareFlow::ExposeJob> jobs;
-      for (const auto& e : elections)
-        for (auto cid : e.candidates)
-          jobs.push_back({&arrays[cid], layout_.bin_word(lvl),
-                          layout_.bin_word(lvl) + 1});
-      std::vector<ShareFlow::Exposure> exps = flow.expose_batch(jobs);
-      std::size_t xi = 0;
-      for (const auto& e : elections) {
-        bin_views[e.node_idx].reserve(e.candidates.size());
-        for (std::size_t ci = 0; ci < e.candidates.size(); ++ci)
-          bin_views[e.node_idx].push_back(std::move(exps[xi++].opened));
+    for (const auto& e : elections) {
+      bin_views[e.node_idx].reserve(e.candidates.size());
+      for (auto cid : e.candidates) {
+        const ArrayState& a = arrays[cid];
+        const LeafViews lv =
+            flow.send_down(a, layout_.bin_word(lvl), layout_.bin_word(lvl) + 1);
+        bin_views[e.node_idx].push_back(
+            flow.send_open(a.level, a.node_idx, lv));
       }
     }
     advance_rounds(net, ShareFlow::exposure_rounds(lvl));
@@ -220,27 +214,18 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
 
     for (std::size_t j = 0; j < max_rounds; ++j) {
       // Expose round-j coins: candidate j's coin words (Definition 4: the
-      // j-th block supplies this round's coins for every instance) —
-      // every active election's exposure rides one expose_batch call.
-      {
-        std::vector<ShareFlow::ExposeJob> jobs;
-        std::vector<NodeElection*> active;
-        for (auto& e : elections) {
-          if (e.machine == nullptr || j >= e.candidates.size()) continue;
-          const std::size_t r = e.candidates.size();
-          jobs.push_back({&arrays[e.candidates[j]], layout_.coin_word(lvl, 0),
-                          layout_.coin_word(lvl, 0) + r});
-          active.push_back(&e);
-        }
-        std::vector<ShareFlow::Exposure> exps = flow.expose_batch(jobs);
-        for (std::size_t xi = 0; xi < active.size(); ++xi) {
-          NodeElection& e = *active[xi];
-          const std::size_t r = e.candidates.size();
-          const MemberViews& mv = exps[xi].opened;
-          for (std::size_t pos = 0; pos < k; ++pos)
-            for (std::size_t c = 0; c < r; ++c)
-              e.coin_buffer[pos * r + c] = mv.at(pos, c).value();
-        }
+      // j-th block supplies this round's coins for every instance), one
+      // sendDown + sendOpen per active election.
+      for (auto& e : elections) {
+        if (e.machine == nullptr || j >= e.candidates.size()) continue;
+        const std::size_t r = e.candidates.size();
+        const ArrayState& a = arrays[e.candidates[j]];
+        const LeafViews lv = flow.send_down(a, layout_.coin_word(lvl, 0),
+                                            layout_.coin_word(lvl, 0) + r);
+        const MemberViews mv = flow.send_open(a.level, a.node_idx, lv);
+        for (std::size_t pos = 0; pos < k; ++pos)
+          for (std::size_t c = 0; c < r; ++c)
+            e.coin_buffer[pos * r + c] = mv.at(pos, c).value();
       }
       advance_rounds(net, ShareFlow::exposure_rounds(lvl));
 
@@ -467,16 +452,12 @@ AeResult AlmostEverywhereBA::run(Network& net, Adversary& adversary,
     result.seq_word_good.assign(cw * root_cands.size(), false);
     result.seq_truth.assign(cw * root_cands.size(), 0);
     for (std::size_t t = 0; t < cw; ++t) {
-      // All root candidates' word-t exposures share one expose_batch.
+      // Every root candidate exposes its word t, in candidate order.
       const std::size_t word = layout_.seq_block_offset() + t;
-      std::vector<ShareFlow::ExposeJob> jobs;
-      jobs.reserve(root_cands.size());
-      for (std::size_t c = 0; c < root_cands.size(); ++c)
-        jobs.push_back({&arrays[root_cands[c]], word, word + 1});
-      std::vector<ShareFlow::Exposure> exps = flow.expose_batch(jobs);
       for (std::size_t c = 0; c < root_cands.size(); ++c) {
         const ArrayState& a = arrays[root_cands[c]];
-        const MemberViews& mv = exps[c].opened;
+        const LeafViews lv = flow.send_down(a, word, word + 1);
+        const MemberViews mv = flow.send_open(a.level, a.node_idx, lv);
         const std::size_t idx = t * root_cands.size() + c;
         for (std::size_t pos = 0; pos < n; ++pos)
           result.seq_views[idx][root.members[pos]] = mv.at(pos, 0).value();

@@ -38,35 +38,6 @@ void ShareFlow::ensure_worker_scratch() {
   }
 }
 
-void ShareFlow::build_open_plan(std::size_t level, std::size_t node_idx,
-                                std::size_t views_leaf_begin, OpenPlan& plan) {
-  const TreeNode& node = tree_.node(level, node_idx);
-  std::size_t links = 0;
-  for (const auto& leaves : node.ell) links += leaves.size();
-  plan.senders.reserve(plan.senders.size() + links * params_.tree.k1);
-  plan.ids.reserve(plan.ids.size() + links * params_.tree.k1);
-  plan.leaf_ends.reserve(plan.leaf_ends.size() + links);
-  plan.pos_leaf_ends.reserve(plan.pos_leaf_ends.size() + node.members.size());
-  for (std::size_t pos = 0; pos < node.members.size(); ++pos) {
-    for (std::uint32_t leaf_abs : node.ell[pos]) {
-      const TreeNode& leaf = tree_.node(1, leaf_abs);
-      const auto rel =
-          static_cast<std::uint32_t>(leaf_abs - views_leaf_begin);
-      for (std::size_t i = 0; i < leaf.members.size(); ++i) {
-        const ProcId sender = leaf.members[i];
-        if (silent(sender)) continue;
-        plan.senders.push_back({rel, static_cast<std::uint16_t>(i),
-                                static_cast<std::uint8_t>(lying(sender))});
-        plan.ids.push_back(sender);
-      }
-      plan.leaf_ends.push_back(
-          static_cast<std::uint32_t>(plan.senders.size()));
-    }
-    plan.pos_leaf_ends.push_back(
-        static_cast<std::uint32_t>(plan.leaf_ends.size()));
-  }
-}
-
 void ShareFlow::open_tally(const TreeNode& node, const OpenPlan& plan,
                            const LeafViews& views, std::uint64_t salt,
                            MemberViews& out) {
@@ -564,429 +535,6 @@ LeafViews ShareFlow::send_down(const ArrayState& a, std::size_t w0,
   return views;
 }
 
-std::vector<ShareFlow::Exposure> ShareFlow::expose_batch(
-    const std::vector<ExposeJob>& jobs) {
-  std::vector<Exposure> out;
-  out.reserve(jobs.size());
-  if (jobs.empty()) return out;
-  const std::size_t level = jobs.front().a->level;
-  for (const ExposeJob& job : jobs) {
-    BA_REQUIRE(job.a != nullptr && job.a->level == level,
-               "expose_batch jobs must share one tree level");
-    BA_REQUIRE(job.a->level >= 2, "sendDown starts at level 2 or above");
-    BA_REQUIRE(job.w0 >= job.a->word_offset && job.w1 > job.w0,
-               "bad word range");
-  }
-  ensure_worker_scratch();
-
-  // The serial path both defines the draw order and is the fallback when
-  // a chunk hits a decode failure (it charges, pins and resets the arena
-  // itself).
-  const auto serial_from = [&](std::size_t i, std::size_t end) {
-    for (; i < end; ++i) {
-      LeafViews lv = send_down(*jobs[i].a, jobs[i].w0, jobs[i].w1);
-      MemberViews mv = send_open(level, jobs[i].a->node_idx, lv);
-      out.push_back(Exposure{std::move(lv), std::move(mv)});
-    }
-  };
-
-  // ---- Per-chunk plan structures. BNode/BGroup/BLeaf mirror send_down's
-  // NodeWork/Group/LeafWork one for one; the sendOpen structure is the
-  // same OpenPlan the standalone path builds (sender identities survive
-  // the structural pass because the batched charges are deferred to the
-  // apply phase).
-  struct BGroup {
-    Chain pc = 0;
-    std::uint32_t holder_pos = 0;
-    std::uint32_t share_begin = 0, share_end = 0;
-    const RobustDecoder* dec = nullptr;
-    Fp* out = nullptr;
-    std::uint8_t ok = 0;
-  };
-  struct BNode {
-    std::size_t ci = 0;
-    std::uint32_t batch = 0;
-    std::vector<FpSpan> sent;
-    std::vector<std::uint8_t> dropped;
-    std::vector<std::pair<std::uint32_t, Fp*>> lie_bufs;
-    std::vector<std::uint32_t> shares;
-    std::vector<BGroup> groups;
-    std::uint32_t decoded_batch = 0;
-  };
-  struct BLeaf {
-    std::size_t leaf_idx = 0;
-    std::vector<FpSpan> shares;
-    std::vector<Fp> xs;
-    std::vector<ProcId> senders;  ///< surviving senders, share order
-    std::vector<Fp*> lie_bufs;
-    const RobustDecoder* dec = nullptr;
-    Fp* secret = nullptr;
-    std::uint8_t ok = 0;
-  };
-  struct BJob {
-    const ArrayState* a = nullptr;
-    std::size_t nwords = 0, s0 = 0;
-    const TreeNode* top = nullptr;
-    std::size_t k1 = 0, t1 = 0;
-    std::vector<std::vector<DownRec>> batches;
-    std::vector<std::vector<BNode>> levels;  ///< [li] is tree level - li
-    std::vector<BLeaf> leaves;
-    OpenPlan open;           ///< sendOpen structure, receiver-binned
-    std::uint64_t salt = 0;  ///< sendOpen garbage-stream salt (draw pass)
-  };
-
-  // ---- Structural pass for one job: everything send_down + send_open
-  // compute that does not consume rng_ and does not charge — frontier
-  // walk, groups (the unordered_map is built with the identical key
-  // sequence, so it iterates identically), decoder pre-warms, buffer
-  // allocation, the open sender lists. Deferred: lie/failure draws (the
-  // draw pass), decodes (the lock-step pass), charges + tallies (apply).
-  const auto build_job = [&](const ExposeJob& job, BJob& plan,
-                             std::vector<LeafViews>& views_of) {
-    const ArrayState& a = *job.a;
-    plan.a = &a;
-    plan.nwords = job.w1 - job.w0;
-    plan.s0 = job.w0 - a.word_offset;
-    plan.top = &tree_.node(level, a.node_idx);
-    plan.k1 = tree_.node(1, plan.top->leaf_begin).members.size();
-    plan.t1 = params_.privacy_threshold(plan.k1);
-    const std::size_t nwords = plan.nwords;
-    views_of.emplace_back(plan.top->leaf_begin,
-                          plan.top->leaf_end - plan.top->leaf_begin, plan.k1,
-                          nwords);
-
-    std::vector<std::pair<std::size_t, std::uint32_t>> frontier;
-    {
-      std::vector<DownRec> start;
-      start.reserve(a.recs.size());
-      for (const ShareRec& rec : a.recs) {
-        BA_REQUIRE(plan.s0 + nwords <= rec.ys.size(),
-                   "range beyond stored words");
-        DownRec dr;
-        dr.chain = rec.chain;
-        dr.holder_pos = rec.holder_pos;
-        Fp* buf = arena_.alloc(nwords);
-        std::copy(rec.ys.begin() + static_cast<std::ptrdiff_t>(plan.s0),
-                  rec.ys.begin() + static_cast<std::ptrdiff_t>(plan.s0) +
-                      static_cast<std::ptrdiff_t>(nwords),
-                  buf);
-        dr.ys = FpSpan{buf, nwords};
-        start.push_back(dr);
-      }
-      plan.batches.push_back(std::move(start));
-      frontier.emplace_back(a.node_idx, 0);
-    }
-
-    std::vector<Fp> xs;
-    for (std::size_t m = level; m >= 2; --m) {
-      const std::size_t d_deal = tree_.uplinks(m - 1).degree();
-      const std::size_t t = params_.privacy_threshold(d_deal);
-      std::vector<BNode> nodes(frontier.size());
-      for (std::size_t ni = 0; ni < frontier.size(); ++ni) {
-        BNode& nw = nodes[ni];
-        nw.ci = frontier[ni].first;
-        nw.batch = frontier[ni].second;
-        const std::vector<DownRec>& recs = plan.batches[nw.batch];
-        const TreeNode& c_node = tree_.node(m, nw.ci);
-        nw.sent.resize(recs.size());
-        nw.dropped.assign(recs.size(), 0);
-        for (std::size_t ri = 0; ri < recs.size(); ++ri) {
-          const ProcId sender = c_node.members[recs[ri].holder_pos];
-          if (silent(sender)) {
-            nw.dropped[ri] = 1;
-          } else if (lying(sender)) {
-            Fp* buf = arena_.alloc(nwords);  // filled by the draw pass
-            nw.lie_bufs.emplace_back(static_cast<std::uint32_t>(ri), buf);
-            nw.sent[ri] = FpSpan{buf, nwords};
-          } else {
-            nw.sent[ri] = recs[ri].ys;
-          }
-        }
-        std::unordered_map<Chain, std::vector<std::uint32_t>> group_map;
-        for (std::size_t ri = 0; ri < recs.size(); ++ri) {
-          if (nw.dropped[ri]) continue;
-          group_map[chain_parent(recs[ri].chain, m)].push_back(
-              static_cast<std::uint32_t>(ri));
-        }
-        for (auto& [pc, members] : group_map) {
-          if (members.size() < t + 1) continue;
-          BGroup g;
-          g.pc = pc;
-          g.holder_pos = chain_pos(tree_, pc, m - 1);
-          g.share_begin = static_cast<std::uint32_t>(nw.shares.size());
-          for (std::uint32_t ri : members) nw.shares.push_back(ri);
-          g.share_end = static_cast<std::uint32_t>(nw.shares.size());
-          g.out = arena_.alloc(nwords);
-          nw.groups.push_back(g);
-        }
-      }
-      for (BNode& nw : nodes) {
-        const std::vector<DownRec>& recs = plan.batches[nw.batch];
-        for (BGroup& g : nw.groups) {
-          xs.clear();
-          for (std::uint32_t si = g.share_begin; si < g.share_end; ++si)
-            xs.push_back(Fp(chain_elem(recs[nw.shares[si]].chain, m - 1)));
-          g.dec = &cache_.prewarm_points(xs, t);
-        }
-      }
-      // Decoded batches and the next frontier (send_down's P4, minus its
-      // charges): the decoded spans point at group buffers the lock-step
-      // pass fills later.
-      std::vector<std::pair<std::size_t, std::uint32_t>> next;
-      for (BNode& nw : nodes) {
-        std::vector<DownRec> decoded;
-        decoded.reserve(nw.groups.size());
-        for (const BGroup& g : nw.groups) {
-          DownRec dr;
-          dr.chain = g.pc;
-          dr.holder_pos = g.holder_pos;
-          dr.ys = FpSpan{g.out, nwords};
-          decoded.push_back(dr);
-        }
-        nw.decoded_batch = static_cast<std::uint32_t>(plan.batches.size());
-        plan.batches.push_back(std::move(decoded));
-        const TreeNode& c_node = tree_.node(m, nw.ci);
-        for (std::size_t child : c_node.children)
-          next.emplace_back(child, nw.decoded_batch);
-      }
-      plan.levels.push_back(std::move(nodes));
-      frontier = std::move(next);
-    }
-
-    plan.leaves.resize(frontier.size());
-    for (std::size_t li = 0; li < frontier.size(); ++li) {
-      BLeaf& lw = plan.leaves[li];
-      lw.leaf_idx = frontier[li].first;
-      const std::vector<DownRec>& recs = plan.batches[frontier[li].second];
-      const TreeNode& leaf = tree_.node(1, lw.leaf_idx);
-      for (const DownRec& rec : recs) {
-        const ProcId sender = leaf.members[rec.holder_pos];
-        if (silent(sender)) continue;
-        if (lying(sender)) {
-          Fp* buf = arena_.alloc(nwords);  // filled by the draw pass
-          lw.lie_bufs.push_back(buf);
-          lw.shares.push_back(FpSpan{buf, nwords});
-        } else {
-          lw.shares.push_back(rec.ys);
-        }
-        lw.xs.push_back(Fp(chain_elem(rec.chain, 0) + 1));
-        lw.senders.push_back(sender);
-      }
-      if (lw.shares.size() >= plan.t1 + 1) {
-        lw.dec = &cache_.prewarm_points(lw.xs, plan.t1);
-        lw.secret = arena_.alloc(nwords);
-      }
-    }
-
-    // sendOpen sender lists, receiver-binned exactly as the standalone
-    // path builds them.
-    build_open_plan(level, a.node_idx, plan.top->leaf_begin, plan.open);
-  };
-
-  // ---- Draw pass for one job: exactly the draws the serial path takes,
-  // in its order — per level (descending) the lying holders' transmissions
-  // in frontier/record order, then per leaf the lying 1-shares plus the
-  // deterministic not-enough-survivors failure views, then sendOpen's
-  // one salt draw (the per-receiver garbage streams the apply-phase tally
-  // forks from it are off-rng_ by construction).
-  const auto draw_job = [&](BJob& plan, LeafViews& views) {
-    const std::size_t nwords = plan.nwords;
-    for (std::vector<BNode>& nodes : plan.levels)
-      for (BNode& nw : nodes)
-        for (auto& [ri, buf] : nw.lie_bufs) {
-          (void)ri;
-          fill_garbage_span(buf, nwords);
-        }
-    for (BLeaf& lw : plan.leaves) {
-      for (Fp* buf : lw.lie_bufs) fill_garbage_span(buf, nwords);
-      if (lw.dec == nullptr) {
-        const TreeNode& leaf = tree_.node(1, lw.leaf_idx);
-        const std::size_t rel = lw.leaf_idx - plan.top->leaf_begin;
-        for (std::size_t pos = 0; pos < leaf.members.size(); ++pos)
-          for (std::size_t w = 0; w < nwords; ++w)
-            views.set(rel, pos, w, garbage());
-      }
-    }
-    plan.salt = rng_.next();
-  };
-
-  // ---- Apply pass for one fully-decoded job: the deferred ledger
-  // charges (order within a round is immaterial — the ledger digests
-  // per-processor totals and no round advances inside a batch) and the
-  // pooled sendOpen tally over the decoded leaf views.
-  const auto apply_job = [&](BJob& plan, LeafViews& views) {
-    const std::size_t nwords = plan.nwords;
-    for (std::size_t li = 0; li < plan.levels.size(); ++li) {
-      const std::size_t m = level - li;
-      for (BNode& nw : plan.levels[li]) {
-        const std::vector<DownRec>& recs = plan.batches[nw.batch];
-        const TreeNode& c_node = tree_.node(m, nw.ci);
-        for (std::size_t child : c_node.children) {
-          const TreeNode& d_node = tree_.node(m - 1, child);
-          for (std::size_t ri = 0; ri < recs.size(); ++ri) {
-            if (nw.dropped[ri]) continue;
-            const ProcId sender = c_node.members[recs[ri].holder_pos];
-            const std::uint32_t rpos =
-                chain_pos(tree_, chain_parent(recs[ri].chain, m), m - 1);
-            net_.charge_batch(sender, d_node.members[rpos],
-                              nwords * kWordBits);
-          }
-        }
-      }
-    }
-    for (const BLeaf& lw : plan.leaves) {
-      const TreeNode& leaf = tree_.node(1, lw.leaf_idx);
-      for (const ProcId sender : lw.senders)
-        for (std::size_t pos = 0; pos < leaf.members.size(); ++pos)
-          net_.charge_batch(sender, leaf.members[pos], nwords * kWordBits);
-    }
-    const TreeNode& node = tree_.node(level, plan.a->node_idx);
-    MemberViews mv(node.members.size(), nwords);
-    std::size_t lb = 0, sb = 0;
-    for (std::size_t pos = 0; pos < node.members.size(); ++pos) {
-      const ProcId receiver = node.members[pos];
-      const std::uint32_t le = plan.open.pos_leaf_ends[pos];
-      const std::size_t s_end = lb == le ? sb : plan.open.leaf_ends[le - 1];
-      for (std::size_t si = sb; si < s_end; ++si)
-        net_.charge_batch(plan.open.ids[si], receiver,
-                          nwords * kWordBits);
-      sb = s_end;
-      lb = le;
-    }
-    open_tally(node, plan.open, views, plan.salt, mv);
-    out.push_back(Exposure{std::move(views), std::move(mv)});
-  };
-
-  // ---- One chunk: build + draw every job (serial, job-major — exactly
-  // the serial draw order because the structural pass is draw-free), then
-  // decode every tree level across all jobs in one pool dispatch each.
-  // `limit` tracks the leading run of failure-free jobs; a decode failure
-  // at job j keeps jobs < j, rewinds rng_ to j's snapshot and replays
-  // from j through the serial path.
-  const auto run_chunk = [&](std::size_t jb, std::size_t je) {
-    const std::size_t count = je - jb;
-    arena_.reset();  // one chunk == one arena epoch
-    std::vector<BJob> plans(count);
-    std::vector<LeafViews> views_of;
-    views_of.reserve(count);
-    std::vector<Rng> snaps;
-    snaps.reserve(count);
-    std::size_t limit = count;
-    {
-      SchemeCache::RobustPin pin(cache_);
-      const std::uint64_t epoch = cache_.robust_epoch();
-      for (std::size_t ji = 0; ji < count; ++ji) {
-        snaps.push_back(rng_);
-        build_job(jobs[jb + ji], plans[ji], views_of);
-        draw_job(plans[ji], views_of[ji]);
-      }
-      BA_ENSURE(cache_.robust_epoch() == epoch,
-                "decoder map reset mid-chunk despite the pin");
-      const std::size_t num_levels = level - 1;
-      std::vector<std::array<std::uint32_t, 3>> todo;
-      for (std::size_t li = 0; li < num_levels; ++li) {
-        todo.clear();
-        for (std::size_t ji = 0; ji < limit; ++ji)
-          for (std::size_t ni = 0; ni < plans[ji].levels[li].size(); ++ni)
-            for (std::size_t gi = 0;
-                 gi < plans[ji].levels[li][ni].groups.size(); ++gi)
-              todo.push_back({static_cast<std::uint32_t>(ji),
-                              static_cast<std::uint32_t>(ni),
-                              static_cast<std::uint32_t>(gi)});
-        Pool::for_each(todo.size(), [&](std::size_t wi, std::size_t worker) {
-          BNode& nw = plans[todo[wi][0]].levels[li][todo[wi][1]];
-          BGroup& g = nw.groups[todo[wi][2]];
-          std::vector<FpSpan>& spans = span_scratch_[worker];
-          spans.clear();
-          for (std::uint32_t si = g.share_begin; si < g.share_end; ++si)
-            spans.push_back(nw.sent[nw.shares[si]]);
-          g.ok = g.dec->reconstruct_into(spans.data(), spans.size(),
-                                         plans[todo[wi][0]].nwords, g.out,
-                                         decode_scratch_[worker])
-                     ? 1
-                     : 0;
-        });
-        for (std::size_t ji = 0; ji < limit; ++ji) {
-          bool fail = false;
-          for (const BNode& nw : plans[ji].levels[li]) {
-            for (const BGroup& g : nw.groups)
-              if (!g.ok) {
-                fail = true;
-                break;
-              }
-            if (fail) break;
-          }
-          if (fail) {
-            limit = ji;
-            break;
-          }
-        }
-      }
-      todo.clear();
-      for (std::size_t ji = 0; ji < limit; ++ji)
-        for (std::size_t li = 0; li < plans[ji].leaves.size(); ++li)
-          if (plans[ji].leaves[li].dec != nullptr)
-            todo.push_back({static_cast<std::uint32_t>(ji),
-                            static_cast<std::uint32_t>(li), 0});
-      Pool::for_each(todo.size(), [&](std::size_t wi, std::size_t worker) {
-        BJob& plan = plans[todo[wi][0]];
-        BLeaf& lw = plan.leaves[todo[wi][1]];
-        lw.ok = lw.dec->reconstruct_into(lw.shares.data(), lw.shares.size(),
-                                         plan.nwords, lw.secret,
-                                         decode_scratch_[worker])
-                    ? 1
-                    : 0;
-        if (lw.ok) {
-          const TreeNode& leaf = tree_.node(1, lw.leaf_idx);
-          const std::size_t rel = lw.leaf_idx - plan.top->leaf_begin;
-          LeafViews& views = views_of[todo[wi][0]];
-          for (std::size_t pos = 0; pos < leaf.members.size(); ++pos)
-            for (std::size_t w = 0; w < plan.nwords; ++w)
-              views.set(rel, pos, w, lw.secret[w]);
-        }
-      });
-      for (std::size_t ji = 0; ji < limit; ++ji) {
-        bool fail = false;
-        for (const BLeaf& lw : plans[ji].leaves)
-          if (lw.dec != nullptr && lw.ok == 0) {
-            fail = true;
-            break;
-          }
-        if (fail) {
-          limit = ji;
-          break;
-        }
-      }
-    }  // pin drops before any serial replay re-pins
-    for (std::size_t ji = 0; ji < limit; ++ji)
-      apply_job(plans[ji], views_of[ji]);
-    if (limit < count) {
-      rng_ = snaps[limit];
-      serial_from(jb + limit, je);
-    }
-  };
-
-  // Chunk so one batch never holds more than a bounded window of leaf
-  // work (views + arena words), whatever the level or job count.
-  constexpr std::size_t kChunkLeafCap = 4096;
-  std::size_t jb = 0;
-  while (jb < jobs.size()) {
-    std::size_t je = jb;
-    std::size_t acc = 0;
-    do {
-      const TreeNode& top = tree_.node(level, jobs[je].a->node_idx);
-      acc += top.leaf_end - top.leaf_begin;
-      ++je;
-    } while (je < jobs.size() && acc < kChunkLeafCap);
-    if (je - jb == 1)
-      serial_from(jb, je);  // nothing to batch; skip the plan overhead
-    else
-      run_chunk(jb, je);
-    jb = je;
-  }
-  return out;
-}
-
 MemberViews ShareFlow::send_open(std::size_t level, std::size_t node_idx,
                                  const LeafViews& views) {
   const TreeNode& node = tree_.node(level, node_idx);
@@ -999,16 +547,24 @@ MemberViews ShareFlow::send_open(std::size_t level, std::size_t node_idx,
   // with an O(k^2) nested loop).
   OpenPlan& plan = open_plan_scratch_;
   plan.clear();
-  build_open_plan(level, node_idx, views.leaf_begin(), plan);
-  std::size_t lb = 0, sb = 0;
   for (std::size_t pos = 0; pos < node.members.size(); ++pos) {
     const ProcId receiver = node.members[pos];
-    const std::uint32_t le = plan.pos_leaf_ends[pos];
-    const std::size_t s_end = lb == le ? sb : plan.leaf_ends[le - 1];
-    for (std::size_t si = sb; si < s_end; ++si)
-      net_.charge_batch(plan.ids[si], receiver, nwords * kWordBits);
-    sb = s_end;
-    lb = le;
+    for (std::uint32_t leaf_abs : node.ell[pos]) {
+      const TreeNode& leaf = tree_.node(1, leaf_abs);
+      const auto rel =
+          static_cast<std::uint32_t>(leaf_abs - views.leaf_begin());
+      for (std::size_t i = 0; i < leaf.members.size(); ++i) {
+        const ProcId sender = leaf.members[i];
+        if (silent(sender)) continue;
+        plan.senders.push_back({rel, static_cast<std::uint16_t>(i),
+                                static_cast<std::uint8_t>(lying(sender))});
+        net_.charge_batch(sender, receiver, nwords * kWordBits);
+      }
+      plan.leaf_ends.push_back(
+          static_cast<std::uint32_t>(plan.senders.size()));
+    }
+    plan.pos_leaf_ends.push_back(
+        static_cast<std::uint32_t>(plan.leaf_ends.size()));
   }
   // One salt draw at the call's serial rng_ position seeds every
   // receiver's forked garbage stream; the per-receiver tallies then run

@@ -6,12 +6,16 @@
 //    garbage; holders whose election view excluded the array stay silent.
 //  * sendDown    — unwind iterated shares level by level ("down the
 //    uplinks it came from plus the corresponding uplinks from each of its
-//    other children"), Berlekamp–Welch-correcting up to the error budget
-//    at each recombination, until every leaf node in the subtree has
-//    exchanged 1-shares and reconstructed the exposed words.
+//    other children"), robustly decoding up to the error budget at each
+//    recombination, until every leaf node in the subtree has exchanged
+//    1-shares and reconstructed the exposed words.
 //  * sendOpen    — every leaf member reports its reconstruction up the
 //    ell-links; each node member takes a per-word majority within each
 //    linked leaf node, then across its linked leaf nodes.
+//
+// An exposure is one send_down followed by one send_open on the same
+// array; callers run the pair per array, which is the one path and the
+// definition of the Rng draw order.
 //
 // All traffic is charged to the BitLedger via Network::charge_batch — the
 // per-(sender, round) batched accounting path (share flows are exactly the
@@ -23,8 +27,9 @@
 // and deal via their precomputed Vandermonde matrices, and sendDown's
 // recombinations reuse a RobustDecoder per (point set, threshold) — the
 // barycentric fast-path precompute survives across dealing groups, levels
-// and exposure batches instead of being rebuilt per call. Damaged words
-// decode via Gao's O(m^2) extended-Euclid decoder. Corruption draws are
+// and exposures instead of being rebuilt per call. Damaged words decode by
+// head search (a t+1-point interpolant within the error budget), with
+// Gao's extended-Euclid decoder only as the fallback. Corruption draws are
 // centralised in fill_garbage (core/array_state.h); all paths keep the
 // seed's Rng draw order, so fixed-seed runs are byte-identical to the
 // pre-cache pipeline.
@@ -49,23 +54,22 @@
 //    after two restarts the remainder runs node-serial (groups within one
 //    node still fan out — their failure draws cannot interleave with
 //    their own input draws).
-//  * Word storage for one sendDown exposure batch lives in a per-flow
-//    WordArena (common/arena.h): decoded groups and transmitted values
-//    are FpSpans, so handing a decoded record to every child of a node —
-//    the dominant replication in the flow — copies pointers, not words.
-//    The arena resets at the top of each send_down call.
+//  * Word storage for one sendDown call lives in a per-flow WordArena
+//    (common/arena.h): decoded groups and transmitted values are FpSpans,
+//    so handing a decoded record to every child of a node — the dominant
+//    replication in the flow — copies pointers, not words.
 //
-// sendOpen fans out per receiver: the structural pass bins the surviving
-// (leaf, member) senders per receiver (contiguous receiver -> leaves ->
-// senders slices), one salt is drawn from rng_ at the call's serial
-// position, and each receiver's tally runs on the pool drawing its
-// lying-sender garbage from Rng(salt).fork(pos) — the pool's per-item
-// stream-fork derivation, so draws depend on (salt, receiver) and never
-// on worker scheduling. This decouples the garbage from the global draw
-// order (the seed interleaved the two), which is why PR 7 re-pinned the
-// parity fingerprints and golden reports; the re-pin procedure is in
-// docs/ARCHITECTURE.md. Ledger charges are order-independent totals and
-// move freely between phases.
+// sendOpen fans out per receiver: the structural pass charges the ledger
+// and bins the surviving (leaf, member) senders per receiver (contiguous
+// receiver -> leaves -> senders slices), one salt is drawn from rng_ at
+// the call's serial position, and each receiver's tally runs on the pool
+// drawing its lying-sender garbage from Rng(salt).fork(pos) — the pool's
+// per-item stream-fork derivation, so draws depend on (salt, receiver)
+// and never on worker scheduling. This decouples the garbage from the
+// global draw order (the seed interleaved the two), which is why the
+// parity fingerprints and golden reports were re-pinned once; the re-pin
+// procedure is in docs/ARCHITECTURE.md. Ledger charges are
+// order-independent totals and move freely between phases.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +80,6 @@
 #include "common/plurality.h"
 #include "core/array_state.h"
 #include "core/params.h"
-#include "crypto/berlekamp_welch.h"
 #include "crypto/scheme_cache.h"
 #include "crypto/shamir.h"
 #include "net/network.h"
@@ -186,34 +189,6 @@ class ShareFlow {
   MemberViews send_open(std::size_t level, std::size_t node_idx,
                         const LeafViews& views);
 
-  /// One exposure in an expose_batch: array `a` exposes words [w0, w1)
-  /// down its subtree and opens them at (a->level, a->node_idx). `a`
-  /// must outlive the call.
-  struct ExposeJob {
-    const ArrayState* a = nullptr;
-    std::size_t w0 = 0;
-    std::size_t w1 = 0;
-  };
-  /// sendDown + sendOpen results of one job.
-  struct Exposure {
-    LeafViews views;
-    MemberViews opened;
-  };
-
-  /// Batched sendDown + sendOpen for a whole level of exposures (every
-  /// job at the same tree level). Byte-identical to calling send_down +
-  /// send_open job by job — same Rng draw order, same ledger totals,
-  /// same views — but the batch shares one arena epoch and one decoder
-  /// pin per chunk, and recombinations across all jobs of a level fan
-  /// out in a single pool dispatch per tree level instead of one per
-  /// array. Decode failures are the adversarial rare case: the batch
-  /// optimistically assumes none; on the first failure it keeps every
-  /// fully-clean preceding job, rewinds rng_ to the failing job's
-  /// snapshot, and replays the remainder through the serial path (the
-  /// definition of the draw order). Jobs chunk internally so a level's
-  /// batch never holds more than a bounded window of leaf work.
-  std::vector<Exposure> expose_batch(const std::vector<ExposeJob>& jobs);
-
   /// Network rounds one sendDown + sendOpen from `level` costs: level-1
   /// hops down, one leaf-exchange round, one ell-link round.
   static std::size_t exposure_rounds(std::size_t level) { return level + 1; }
@@ -236,8 +211,7 @@ class ShareFlow {
   /// One surviving sendOpen sender: where its reported word lives in the
   /// leaf views and whether it lies. Packed to 8 bytes — the tally
   /// re-walks the whole sender list once per word, so entry size is the
-  /// stage's memory-bandwidth knob. Sender identities live in the
-  /// parallel OpenPlan::ids array (touched once, by the charge loop).
+  /// stage's memory-bandwidth knob.
   struct OpenSender {
     std::uint32_t leaf_rel = 0;    ///< leaf index relative to the views
     std::uint16_t member_idx = 0;  ///< member position within the leaf
@@ -250,21 +224,14 @@ class ShareFlow {
   /// (receiver -> leaves -> senders) slice per pooled tally item.
   struct OpenPlan {
     std::vector<OpenSender> senders;
-    std::vector<ProcId> ids;                   ///< sender ids, same order
     std::vector<std::uint32_t> leaf_ends;      ///< prefix ends into senders
     std::vector<std::uint32_t> pos_leaf_ends;  ///< per receiver, into leaf_ends
     void clear() {
       senders.clear();
-      ids.clear();
       leaf_ends.clear();
       pos_leaf_ends.clear();
     }
   };
-
-  /// Structural pass of sendOpen (draw-free, charge-free): bin the
-  /// surviving senders of node (level, node_idx) per receiver.
-  void build_open_plan(std::size_t level, std::size_t node_idx,
-                       std::size_t views_leaf_begin, OpenPlan& plan);
 
   /// Parallel sendOpen tally: per-receiver pluralities over the pool,
   /// lying senders drawing from Rng(salt).fork(pos). Draw-free on rng_;
@@ -309,7 +276,7 @@ class ShareFlow {
   Rng rng_;
   FaultStyle style_ = FaultStyle::lying;
   SchemeCache cache_;  ///< amortized dealing matrices and robust decoders
-  WordArena arena_;    ///< word storage for one sendDown exposure batch
+  WordArena arena_;    ///< word storage for one sendDown call
 
   // Per-worker scratch (common/pool.h contract: reinitialized by every
   // item that uses a slot).
@@ -319,8 +286,7 @@ class ShareFlow {
   std::vector<std::vector<Fp>> slice_scratch_;
   std::vector<PluralityCounter> leaf_tally_scratch_;
   std::vector<PluralityCounter> node_tally_scratch_;
-  OpenPlan open_plan_scratch_;  ///< serial send_open only (expose_batch
-                                ///< jobs own their plans)
+  OpenPlan open_plan_scratch_;  ///< send_open's structural pass
 
   // Instrumentation for report extras (not part of any fingerprint).
   std::uint64_t open_receivers_ = 0;

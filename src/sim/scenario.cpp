@@ -1,6 +1,7 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -76,14 +77,6 @@ int enum_value(const EnumName (&table)[N], const std::string& name) {
   return 0;
 }
 
-std::uint64_t parse_u64(const std::string& v) {
-  char* end = nullptr;
-  const std::uint64_t out = std::strtoull(v.c_str(), &end, 10);
-  BA_REQUIRE(end != v.c_str() && *end == '\0',
-             "integer spec values must be unsigned decimal numbers");
-  return out;
-}
-
 std::size_t parse_size(const std::string& v) {
   return static_cast<std::size_t>(parse_u64(v));
 }
@@ -103,6 +96,18 @@ bool parse_bool(const std::string& v) {
 }
 
 }  // namespace
+
+std::uint64_t parse_u64(const std::string& v) {
+  // strtoull alone would accept leading blanks, a sign (wrapping "-1") and
+  // out-of-range input; demand a leading digit and no overflow.
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t out = std::strtoull(v.c_str(), &end, 10);
+  BA_REQUIRE(!v.empty() && v[0] >= '0' && v[0] <= '9' && *end == '\0' &&
+                 errno != ERANGE,
+             "integer values must be unsigned decimal numbers");
+  return out;
+}
 
 const char* to_string(ProtocolKind k) {
   return enum_name(kProtocolNames, static_cast<int>(k));

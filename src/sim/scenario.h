@@ -190,6 +190,11 @@ struct ScenarioSpec {
   }
 };
 
+/// Checked unsigned decimal parse, shared by spec values and the CLI
+/// tools' numeric flags: throws BA_REQUIRE on empty, signed, non-numeric,
+/// trailing-garbage or out-of-range input.
+std::uint64_t parse_u64(const std::string& v);
+
 /// Named scenario configurations: the 5 examples plus the E-series
 /// experiment configs, exactly as the historical binaries wired them.
 class ScenarioRegistry {

@@ -37,8 +37,9 @@ TEST(NetworkFuzz, RandomTrafficKeepsInvariants) {
       // ascending, sorted stably by sender within each group.
       for (std::size_t i = 1; i < box.size(); ++i) {
         EXPECT_LE(box[i - 1].payload.tag, box[i].payload.tag);
-        if (box[i - 1].payload.tag == box[i].payload.tag)
+        if (box[i - 1].payload.tag == box[i].payload.tag) {
           EXPECT_LE(box[i - 1].from, box[i].from);
+        }
       }
       // The tag index must agree with a whole-inbox filter scan.
       for (std::size_t i = 0; i < box.size(); ++i) {

@@ -67,10 +67,11 @@ void expect_parity(const char* name,
   Pool::set_threads(0);
   EXPECT_EQ(serial, two) << name << ": 2 workers diverged from serial";
   EXPECT_EQ(serial, eight) << name << ": 8 workers diverged from serial";
-  if (expected != 0)
+  if (expected != 0) {
     EXPECT_EQ(serial, expected)
         << name << ": scenario-layer wiring drifted from the recorded "
         << "hand-rolled digest";
+  }
 }
 
 /// Registry scenario -> serial-run fingerprint.
@@ -318,9 +319,8 @@ std::uint64_t run_send_open_storm() {
   // the opens walk contains corrupt members and the pooled per-receiver
   // tallies draw from their forked garbage streams on almost every
   // slice — the worst interleaving for the per-receiver stream-fork
-  // derivation. Both open paths feed the digest: the batched expose path
-  // (one salt per job, drawn at the job's serial position) and the
-  // direct send_down + send_open pair that defines the draw order. The
+  // derivation. Every array exposes two word ranges, then the first
+  // array exposes a third, each through send_down + send_open. The
   // second pass flips to the silent style at the same budget, pinning
   // the below-threshold branches of the same binned structural pass.
   RunDigest d;
@@ -364,39 +364,22 @@ std::uint64_t run_send_open_storm() {
                             [](std::size_t) { return true; });
       arrays.push_back(std::move(a));
     }
-    // Batched path: every array exposes two word ranges in one batch.
-    std::vector<ShareFlow::ExposeJob> batch;
+    const auto expose = [&](const ArrayState& a, std::size_t w0) {
+      const LeafViews lv = flow.send_down(a, w0, w0 + 3);
+      for (std::size_t leaf = 0; leaf < lv.leaf_count(); ++leaf)
+        for (std::size_t pos = 0; pos < lv.k1(); ++pos)
+          for (std::size_t w = 0; w < lv.nwords(); ++w)
+            d.mix(lv.at(leaf, pos, w).value());
+      const MemberViews mv = flow.send_open(a.level, a.node_idx, lv);
+      const std::size_t members =
+          tree.node(a.level, a.node_idx).members.size();
+      for (std::size_t pos = 0; pos < members; ++pos)
+        for (std::size_t w = 0; w < mv.nwords(); ++w)
+          d.mix(mv.at(pos, w).value());
+    };
     for (const ArrayState& a : arrays)
-      for (std::size_t w0 : {std::size_t{2}, std::size_t{5}})
-        batch.push_back({&a, w0, w0 + 3});
-    const std::vector<ShareFlow::Exposure> exposures =
-        flow.expose_batch(batch);
-    for (std::size_t j = 0; j < exposures.size(); ++j) {
-      const ShareFlow::Exposure& e = exposures[j];
-      for (std::size_t leaf = 0; leaf < e.views.leaf_count(); ++leaf)
-        for (std::size_t pos = 0; pos < e.views.k1(); ++pos)
-          for (std::size_t w = 0; w < e.views.nwords(); ++w)
-            d.mix(e.views.at(leaf, pos, w).value());
-      const std::size_t opened_members =
-          tree.node(batch[j].a->level, batch[j].a->node_idx)
-              .members.size();
-      for (std::size_t pos = 0; pos < opened_members; ++pos)
-        for (std::size_t w = 0; w < e.opened.nwords(); ++w)
-          d.mix(e.opened.at(pos, w).value());
-    }
-    // Direct path (the draw-order definition) on the first array.
-    const ArrayState& a0 = arrays.front();
-    LeafViews lv = flow.send_down(a0, 3, 6);
-    for (std::size_t leaf = 0; leaf < lv.leaf_count(); ++leaf)
-      for (std::size_t pos = 0; pos < lv.k1(); ++pos)
-        for (std::size_t w = 0; w < lv.nwords(); ++w)
-          d.mix(lv.at(leaf, pos, w).value());
-    MemberViews mv = flow.send_open(a0.level, a0.node_idx, lv);
-    const std::size_t members =
-        tree.node(a0.level, a0.node_idx).members.size();
-    for (std::size_t pos = 0; pos < members; ++pos)
-      for (std::size_t w = 0; w < mv.nwords(); ++w)
-        d.mix(mv.at(pos, w).value());
+      for (std::size_t w0 : {std::size_t{2}, std::size_t{5}}) expose(a, w0);
+    expose(arrays.front(), 3);
     mix_ledger(d, net);
   }
   return d.h;

@@ -12,9 +12,11 @@
 //    stable double formatting, unknown-key rejection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "sim/protocol.h"
@@ -77,6 +79,24 @@ TEST(ScenarioSpec, ApplyRejectsUnknownKeysAndBadBooleans) {
   EXPECT_EQ(spec.n, 64u);
   spec.apply("adversary", "crash");
   EXPECT_EQ(spec.adversary, sim::AdversaryKind::kCrash);
+}
+
+TEST(ParseU64, AcceptsOnlyUnsignedDecimal) {
+  EXPECT_EQ(sim::parse_u64("0"), 0u);
+  EXPECT_EQ(sim::parse_u64("42"), 42u);
+  EXPECT_EQ(sim::parse_u64("18446744073709551615"), UINT64_MAX);
+  EXPECT_THROW(sim::parse_u64(""), std::logic_error);
+  EXPECT_THROW(sim::parse_u64("abc"), std::logic_error);
+  EXPECT_THROW(sim::parse_u64("x2"), std::logic_error);
+  EXPECT_THROW(sim::parse_u64("4x"), std::logic_error);
+  EXPECT_THROW(sim::parse_u64("12 "), std::logic_error);
+  EXPECT_THROW(sim::parse_u64(" 12"), std::logic_error);
+  EXPECT_THROW(sim::parse_u64("-1"), std::logic_error);
+  EXPECT_THROW(sim::parse_u64("+1"), std::logic_error);
+  EXPECT_THROW(sim::parse_u64("18446744073709551616"), std::logic_error);
+  // Spec values go through the same parser.
+  ScenarioSpec spec = ScenarioRegistry::get("quickstart");
+  EXPECT_THROW(spec.apply("n", "128k"), std::logic_error);
 }
 
 TEST(ScenarioSpec, FromKvRejectsDuplicateKeys) {

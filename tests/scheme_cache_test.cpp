@@ -504,7 +504,9 @@ TEST(RobustDecoder, HeadSearchMatchesPerWordGao) {
       const bool ok = head_search(dec, words, got, scratch);
       ASSERT_EQ(ok, ok_ref) << "set " << set << " call " << call << " m=" << m
                             << " t=" << t << " mode " << mode;
-      if (ok) EXPECT_EQ(got, expected) << "set " << set << " call " << call;
+      if (ok) {
+        EXPECT_EQ(got, expected) << "set " << set << " call " << call;
+      }
       failed += ok ? 0 : 1;
       ++calls;
     }

@@ -13,10 +13,12 @@
 // --require-agreement, all nodes decided with everywhere-agreement);
 // 1 otherwise, with each mismatch and a replayable job line on stderr.
 #include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -35,6 +37,19 @@ int usage(const char* argv0) {
       "          [--require-agreement]\n",
       argv0);
   return 2;
+}
+
+/// A numeric flag value through the checked parser (sim/scenario.h);
+/// junk prints the usage text and exits with status 2.
+std::uint64_t number_or_exit(const char* argv0, const char* v,
+                             std::uint64_t max = UINT64_MAX) {
+  try {
+    const std::uint64_t out = ba::sim::parse_u64(v);
+    if (out <= max) return out;
+  } catch (const std::logic_error&) {
+  }
+  std::fprintf(stderr, "not an unsigned number in range: '%s'\n", v);
+  std::exit(usage(argv0));
 }
 
 /// Absolute path of the sibling ba_node binary (same directory as this
@@ -68,15 +83,16 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--scenario") scenario = next();
-    else if (arg == "--nodes") cfg.nodes = std::strtoul(next(), nullptr, 10);
+    else if (arg == "--nodes") cfg.nodes = number_or_exit(argv[0], next());
     else if (arg == "--set") overrides.emplace_back(next());
     else if (arg == "--seed-offset")
-      cfg.seed_offset = std::strtoull(next(), nullptr, 10);
+      cfg.seed_offset = number_or_exit(argv[0], next());
     else if (arg == "--port-base")
       cfg.port_base = static_cast<std::uint16_t>(
-          std::strtoul(next(), nullptr, 10));
+          number_or_exit(argv[0], next(), UINT16_MAX));
     else if (arg == "--timeout-ms")
-      cfg.timeout_ms = static_cast<int>(std::strtol(next(), nullptr, 10));
+      cfg.timeout_ms =
+          static_cast<int>(number_or_exit(argv[0], next(), INT_MAX));
     else if (arg == "--node-bin") cfg.node_bin = next();
     else if (arg == "--json") json = true;
     else if (arg == "--timing") cfg.timing = true;

@@ -14,15 +14,18 @@
 // simulator as inline differential oracle). Output: one RunReport JSON
 // line, then one `transcript_digest=<hex16> ...` key=value line that
 // ba_launch diffs against the in-process oracle.
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sim/protocol.h"
+#include "sim/scenario.h"
 #include "sim/sweep.h"
 #include "transport/launch.h"
 #include "transport/tcp.h"
@@ -41,15 +44,28 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// A numeric flag value through the checked parser (sim/scenario.h);
+/// junk prints the usage text and exits with status 2.
+std::uint64_t number_or_exit(const char* argv0, const char* v,
+                             std::uint64_t max = UINT64_MAX) {
+  try {
+    const std::uint64_t out = ba::sim::parse_u64(v);
+    if (out <= max) return out;
+  } catch (const std::logic_error&) {
+  }
+  std::fprintf(stderr, "not an unsigned number in range: '%s'\n", v);
+  std::exit(usage(argv0));
+}
+
 /// "host:port" or bare "port" (localhost) -> PeerAddr.
-ba::transport::PeerAddr parse_peer(const std::string& s) {
+ba::transport::PeerAddr parse_peer(const char* argv0, const std::string& s) {
   ba::transport::PeerAddr addr;
   const std::size_t colon = s.rfind(':');
   const std::string port_s =
       colon == std::string::npos ? s : s.substr(colon + 1);
   if (colon != std::string::npos && colon > 0) addr.host = s.substr(0, colon);
   addr.port = static_cast<std::uint16_t>(
-      std::strtoul(port_s.c_str(), nullptr, 10));
+      number_or_exit(argv0, port_s.c_str(), UINT16_MAX));
   return addr;
 }
 
@@ -72,18 +88,22 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--id") id = std::strtol(next(), nullptr, 10);
-    else if (arg == "--nodes") nodes = std::strtol(next(), nullptr, 10);
-    else if (arg == "--port-base") port_base = std::strtol(next(), nullptr, 10);
+    if (arg == "--id") id = number_or_exit(argv[0], next(), INT32_MAX);
+    else if (arg == "--nodes")
+      nodes = number_or_exit(argv[0], next(), INT32_MAX);
+    else if (arg == "--port-base")
+      port_base = number_or_exit(argv[0], next(), UINT16_MAX);
     else if (arg == "--peers") peers_arg = next();
     else if (arg == "--scenario") scenario = next();
     else if (arg == "--set") overrides.emplace_back(next());
     else if (arg == "--seed-offset")
-      seed_offset = std::strtoull(next(), nullptr, 10);
+      seed_offset = number_or_exit(argv[0], next());
     else if (arg == "--job") job_line = next();
-    else if (arg == "--timeout-ms") timeout_ms = std::strtol(next(), nullptr, 10);
+    else if (arg == "--timeout-ms")
+      timeout_ms = number_or_exit(argv[0], next(), INT_MAX);
     else if (arg == "--timing") timing = true;
-    else if (arg == "--dump-proc") dump_proc = std::strtol(next(), nullptr, 10);
+    else if (arg == "--dump-proc")
+      dump_proc = number_or_exit(argv[0], next(), INT32_MAX);
     else return usage(argv[0]);
   }
   if (id < 0) return usage(argv[0]);
@@ -121,7 +141,8 @@ int main(int argc, char** argv) {
       while (start <= peers_arg.size()) {
         std::size_t comma = peers_arg.find(',', start);
         if (comma == std::string::npos) comma = peers_arg.size();
-        peers.push_back(parse_peer(peers_arg.substr(start, comma - start)));
+        peers.push_back(
+            parse_peer(argv[0], peers_arg.substr(start, comma - start)));
         start = comma + 1;
       }
     } else {

@@ -19,11 +19,13 @@
 // reads sweep job lines ("seed_offset=K key=value ..."; sim/sweep.h) and
 // emits one NDJSON report per job — the child-process half of ba_sweep's
 // sharding, and the manual way to replay any job-line artifact.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,6 +51,17 @@ int usage(const char* argv0) {
       "       %s --jobs-file <path> [--no-timing]\n",
       argv0, argv0, argv0, argv0);
   return 2;
+}
+
+/// A numeric flag (or environment) value through the checked parser
+/// (sim/scenario.h); junk prints the usage text and exits with status 2.
+std::uint64_t number_or_exit(const char* argv0, const char* v) {
+  try {
+    return ba::sim::parse_u64(v);
+  } catch (const std::logic_error&) {
+  }
+  std::fprintf(stderr, "not an unsigned number: '%s'\n", v);
+  std::exit(usage(argv0));
 }
 
 void print_table(const std::vector<RunReport>& reports) {
@@ -81,8 +94,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> overrides;
 
   if (const char* v = std::getenv("BA_SCENARIO")) scenario_name = v;
-  if (const char* v = std::getenv("BA_SEEDS")) seeds = std::strtoul(v, nullptr, 10);
-  if (const char* v = std::getenv("BA_WORKERS")) workers = std::strtoul(v, nullptr, 10);
+  if (const char* v = std::getenv("BA_SEEDS"))
+    seeds = number_or_exit(argv[0], v);
+  if (const char* v = std::getenv("BA_WORKERS"))
+    workers = number_or_exit(argv[0], v);
   if (const char* v = std::getenv("BA_JSON")) json = v[0] == '1';
 
   for (int i = 1; i < argc; ++i) {
@@ -102,8 +117,8 @@ int main(int argc, char** argv) {
     else if (arg == "--scenario") scenario_name = next();
     else if (arg == "--describe") describe_name = next();
     else if (arg == "--jobs-file") jobs_file = next();
-    else if (arg == "--seeds") seeds = std::strtoul(next(), nullptr, 10);
-    else if (arg == "--workers") workers = std::strtoul(next(), nullptr, 10);
+    else if (arg == "--seeds") seeds = number_or_exit(argv[0], next());
+    else if (arg == "--workers") workers = number_or_exit(argv[0], next());
     else if (arg == "--set") overrides.emplace_back(next());
     else return usage(argv[0]);
   }

@@ -36,10 +36,12 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "sim/protocol.h"
+#include "sim/scenario.h"
 #include "sim/sweep.h"
 
 namespace {
@@ -62,6 +64,19 @@ int usage(const char* argv0) {
       "       %s --replay 'seed_offset=K key=value ...'\n",
       argv0, argv0, argv0, argv0, argv0);
   return 2;
+}
+
+/// A numeric flag (or environment) value through the checked parser
+/// (sim/scenario.h); junk prints the usage text and exits with status 2.
+std::uint64_t number_or_exit(const char* argv0, const char* v,
+                             std::uint64_t max = UINT64_MAX) {
+  try {
+    const std::uint64_t out = ba::sim::parse_u64(v);
+    if (out <= max) return out;
+  } catch (const std::logic_error&) {
+  }
+  std::fprintf(stderr, "not an unsigned number in range: '%s'\n", v);
+  std::exit(usage(argv0));
 }
 
 /// Absolute path of the sibling ba_run binary (same directory as this
@@ -315,21 +330,22 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--grid") grid_name = next();
-    else if (arg == "--jobs") jobs_procs = std::strtoul(next(), nullptr, 10);
+    else if (arg == "--jobs") jobs_procs = number_or_exit(argv[0], next());
     else if (arg == "--shard-timeout")
-      shard_timeout_s = std::strtol(next(), nullptr, 10);
+      shard_timeout_s =
+          static_cast<long>(number_or_exit(argv[0], next(), LONG_MAX));
     else if (arg == "--out") out_path = next();
     else if (arg == "--ledger") ledger_path = next();
     else if (arg == "--print-jobs") print_jobs = true;
     else if (arg == "--fuzz") {
       have_fuzz = true;
-      fuzz_count = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--seed") fuzz_seed = std::strtoull(next(), nullptr, 10);
+      fuzz_count = number_or_exit(argv[0], next());
+    } else if (arg == "--seed") fuzz_seed = number_or_exit(argv[0], next());
     else if (arg == "--seed-from-ci") {
       // Deterministic per CI run but varying across runs, so the corpus
       // moves while every failure stays replayable via --seed.
       const char* run = std::getenv("GITHUB_RUN_NUMBER");
-      fuzz_seed = run != nullptr ? std::strtoull(run, nullptr, 10) : 1;
+      fuzz_seed = run != nullptr ? number_or_exit(argv[0], run) : 1;
     } else if (arg == "--ndjson") ndjson_path = next();
     else if (arg == "--replay") replay_line = next();
     else return usage(argv[0]);
